@@ -1,28 +1,26 @@
-"""Command-line frontend: parse, enumerate, verify, trace, generate, bench.
+"""Command-line frontend: parse, enumerate, verify, trace, generate.
 
 Exit codes: 0 on success, 1 for input or configuration errors (unreadable
 files, parse errors, size guards, bad flags), 2 for internal violations
-(invariant hook failures, verification mismatches, cross-engine count
-mismatches).
+(invariant check failures, verification mismatches).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import json
 import sys
-import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import IO, Sequence
 
 from . import label_enum, set_enum
 from .formats import ParseDiagnostic, ParseError, parse_apx, parse_tgf, write_extensions
 from .framework import Framework, UnknownArgument
 from .generators import GenSpec, random_af
-from .invariants import InvariantViolation
+from .invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from .oracle import TooLarge, enumerate_bruteforce, is_stable
-from .strategies import STRATEGIES, SearchStats
+from .strategies import NO_PROBE, STRATEGIES, FanOut, Probe
 
 TASKS = ("EE-ST", "SE-ST", "CE-ST")
 ENGINES = ("bruteforce", "set", "label")
@@ -49,42 +47,47 @@ def detect_format(source: str) -> str | None:
 
 
 def _enumerate(
-    config: RunConfig,
-    f: Framework,
-    stats: SearchStats | None = None,
-    trace_events: list | None = None,
+    config: RunConfig, f: Framework, trace: IO[str] | None
 ) -> tuple[int, list[tuple[int, ...]]]:
-    """Run the configured engine; returns (count, collected extensions)."""
+    """Run the configured engine; returns (count, collected extensions).
+
+    ``trace`` receives one JSON line per search state of the label engine.
+    """
     limit = 1 if config.task == "SE-ST" else None
     if config.engine == "bruteforce":
         extensions = enumerate_bruteforce(f)
         if limit is not None:
             extensions = extensions[:limit]
         return len(extensions), extensions
-    pick = STRATEGIES[config.order]
+    engine = set_enum if config.engine == "set" else label_enum
+    probe: Probe = NO_PROBE
+    if config.check_invariants:
+        probe = Checker(f, check_set_state if engine is set_enum else check_label_state)
+    if trace is not None:
+        tracer = label_enum.Tracer(
+            f, lambda event: trace.write(json.dumps(event.as_dict()) + "\n")
+        )
+        probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
     extensions: list[tuple[int, ...]] = []
-    kwargs = dict(
-        pick=pick,
-        sink=extensions.append,
-        check_invariants=config.check_invariants,
-        stats=stats,
-        limit=limit,
+    count = engine.enumerate_extensions(
+        f, STRATEGIES[config.order], extensions.append, probe=probe, limit=limit
     )
-    if config.engine == "set":
-        count = set_enum.enumerate_extensions(f, **kwargs)
-    else:
-        if trace_events is not None:
-            kwargs["trace"] = trace_events.append
-        count = label_enum.enumerate_extensions(f, **kwargs)
     return count, extensions
 
 
 def execute(config: RunConfig, f: Framework) -> tuple[int, str]:
     """Enumerate on an already-built framework; returns (exit code, stdout)."""
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * f.n + 200))
-    trace_events: list | None = [] if config.trace is not None else None
     try:
-        count, extensions = _enumerate(config, f, trace_events=trace_events)
+        with (
+            open(config.trace, "w", encoding="utf-8")
+            if config.trace is not None
+            else contextlib.nullcontext()
+        ) as trace:
+            count, extensions = _enumerate(config, f, trace)
+    except OSError as exc:
+        print(f"stabenum: {exc}", file=sys.stderr)
+        return 1, ""
     except TooLarge as exc:
         print(f"stabenum: {config.engine} engine: {exc}", file=sys.stderr)
         return 1, ""
@@ -100,10 +103,6 @@ def execute(config: RunConfig, f: Framework) -> tuple[int, str]:
                     file=sys.stderr,
                 )
                 return 2, ""
-    if config.trace is not None:
-        with open(config.trace, "w", encoding="utf-8") as handle:
-            for event in trace_events or []:
-                handle.write(json.dumps(event.as_dict()) + "\n")
     if config.task == "EE-ST":
         output = write_extensions(extensions, f.names)
     elif config.task == "SE-ST":
@@ -134,60 +133,20 @@ def run(config: RunConfig, text: str, source: str = "<input>") -> tuple[int, str
     return execute(config, f)
 
 
-def bench(
-    base: GenSpec,
-    seeds: Sequence[int],
-    engines: Sequence[str],
-    order: str = "lex",
-) -> tuple[int, str]:
-    """Time every (instance, engine) pair and cross-check reported counts."""
-    lines: list[str] = []
-    for seed in seeds:
-        f = random_af(dataclasses.replace(base, seed=seed))
-        counts: dict[str, int] = {}
-        for engine in engines:
-            config = RunConfig(task="CE-ST", engine=engine, order=order)
-            stats = SearchStats()
-            started = time.perf_counter()
-            try:
-                count, _ = _enumerate(config, f, stats=stats)
-            except TooLarge as exc:
-                print(f"stabenum: {engine} engine: {exc}", file=sys.stderr)
-                return 1, "".join(line + "\n" for line in lines)
-            elapsed = (time.perf_counter() - started) * 1000.0
-            counts[engine] = count
-            lines.append(
-                f"seed={seed} n={base.n} p={base.p} engine={engine} "
-                f"time_ms={elapsed:.3f} count={count} "
-                f"branches={stats.branches} propagations={stats.propagations}"
-            )
-        if len(set(counts.values())) > 1:
-            detail = ", ".join(f"{engine}={count}" for engine, count in counts.items())
-            print(f"stabenum: count mismatch at seed {seed}: {detail}", file=sys.stderr)
-            return 2, "".join(line + "\n" for line in lines)
-    return 0, "".join(line + "\n" for line in lines)
-
-
-def parse_gen(text: str) -> tuple[GenSpec, list[int]]:
-    """Parse ``N,P,SEED[,selfloops]``; SEED may be a range ``A..B``."""
+def parse_gen(text: str) -> GenSpec:
+    """Parse ``N,P,SEED[,selfloops]``."""
     parts = text.split(",")
     if len(parts) not in (3, 4):
         raise ValueError("--gen takes N,P,SEED[,selfloops]")
     n = int(parts[0])
     p = float(parts[1])
-    if ".." in parts[2]:
-        lo, hi = parts[2].split("..", 1)
-        seeds = list(range(int(lo), int(hi) + 1))
-        if not seeds:
-            raise ValueError(f"empty seed range {parts[2]!r}")
-    else:
-        seeds = [int(parts[2])]
+    seed = int(parts[2])
     allow = False
     if len(parts) == 4:
         if parts[3] != "selfloops":
             raise ValueError(f"unknown --gen option {parts[3]!r}")
         allow = True
-    return GenSpec(n=n, p=p, allow_self_loops=allow, seed=seeds[0]), seeds
+    return GenSpec(n=n, p=p, allow_self_loops=allow, seed=seed)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -218,10 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write one JSON trace event per search state (label engine)")
     parser.add_argument("--gen", metavar="N,P,SEED[,selfloops]",
                         help="generate a random framework instead of reading a file")
-    parser.add_argument("--bench", action="store_true",
-                        help="time the engines across the --gen seed range")
-    parser.add_argument("--engines", default="set,label",
-                        help="comma-separated engines compared by --bench")
     return parser
 
 
@@ -241,28 +196,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if config.trace is not None and config.engine != "label":
         parser.error("--trace requires the label engine")
 
-    if args.bench:
-        if args.gen is None:
-            parser.error("--bench requires --gen")
-        engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
-        for engine in engines:
-            if engine not in ENGINES:
-                parser.error(f"unknown engine {engine!r}")
-        try:
-            base, seeds = parse_gen(args.gen)
-        except ValueError as exc:
-            parser.error(str(exc))
-        code, output = bench(base, seeds, engines, order=config.order)
-    elif args.gen is not None:
+    if args.gen is not None:
         if args.input is not None:
             parser.error("pass either an input file or --gen, not both")
         try:
-            base, seeds = parse_gen(args.gen)
+            spec = parse_gen(args.gen)
         except ValueError as exc:
             parser.error(str(exc))
-        if len(seeds) != 1:
-            parser.error("seed ranges are only valid with --bench")
-        code, output = execute(config, random_af(base))
+        code, output = execute(config, random_af(spec))
     else:
         if args.input is None:
             parser.error("an input file (or --gen) is required")
@@ -271,6 +212,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 text = handle.read()
         except OSError as exc:
             print(f"stabenum: {exc}", file=sys.stderr)
+            return 1
+        except UnicodeDecodeError as exc:
+            print(f"stabenum: {args.input}: not UTF-8 text: {exc}", file=sys.stderr)
             return 1
         code, output = run(config, text, source=args.input)
     sys.stdout.write(output)

@@ -38,9 +38,6 @@ class Framework:
     def n(self) -> int:
         return len(self.names)
 
-    def name_of(self, x: int) -> str:
-        return self.names[x]
-
 
 def build(
     names: Iterable[str],

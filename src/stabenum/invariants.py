@@ -1,14 +1,16 @@
 """Executable forms of the search-state invariants.
 
-Both engines can run these as assertion hooks at every quiescent search
-state; a failure means the engine corrupted its own bookkeeping.
+Both engines run these through a :class:`Checker` probe at every quiescent
+search state; a failure means the engine corrupted its own bookkeeping.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
 from .framework import Framework, attacked_by, attackers_of
+from .strategies import Probe
 
 if TYPE_CHECKING:  # pragma: no cover
     from .label_enum import LabelState
@@ -17,6 +19,18 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class InvariantViolation(RuntimeError):
     """A search state broke one of its structural invariants."""
+
+
+@dataclass
+class Checker(Probe):
+    """Probe that runs ``check(f, state)`` at every quiescent search state."""
+
+    f: Framework
+    check: Callable[[Framework, Any], None]
+
+    def state(self, state: Any, quiescent: bool) -> None:
+        if quiescent:
+            self.check(self.f, state)
 
 
 def check_set_state(f: Framework, state: "SetState") -> None:

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .framework import Framework
-from .invariants import check_label_state
-from .strategies import PickStrategy, SearchStats, lowest_index
+from .strategies import NO_PROBE, PickStrategy, Probe, lowest_index
 
 
 class Label(enum.IntEnum):
@@ -39,9 +38,6 @@ class Label(enum.IntEnum):
 
 
 BLANK, IN, OUT, MUST_OUT = Label
-
-ForceHook = Callable[[frozenset[int], frozenset[int], int], None]
-DeadEndHook = Callable[[frozenset[int], frozenset[int]], None]
 
 # trail record kinds
 _MU, _PI, _G_ADD, _G_DEL = range(4)
@@ -104,6 +100,16 @@ class LabelState:
     def members(self, label: Label) -> tuple[int, ...]:
         return tuple(x for x in range(len(self.mu)) if self.mu[x] == label)
 
+    @property
+    def chosen(self) -> frozenset[int]:
+        """The in-labelled arguments, as the set engine's ``chosen``."""
+        return frozenset(self.members(IN))
+
+    @property
+    def choice(self) -> frozenset[int]:
+        """The blank arguments, as the set engine's ``choice``."""
+        return frozenset(self.members(BLANK))
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -123,9 +129,6 @@ class TraceEvent:
         }
 
 
-TraceHook = Callable[[TraceEvent], None]
-
-
 def trace_event(state: LabelState, f: Framework, state_id: int) -> TraceEvent:
     return TraceEvent(
         state_id=state_id,
@@ -135,73 +138,54 @@ def trace_event(state: LabelState, f: Framework, state_id: int) -> TraceEvent:
     )
 
 
-def _force(
-    state: LabelState,
-    f: Framework,
-    x: int,
-    on_force: ForceHook | None,
-    stats: SearchStats | None,
-) -> None:
+class Tracer(Probe):
+    """Probe that sends a :class:`TraceEvent` to ``sink`` at every state boundary.
+
+    Events are numbered from 1 in the order they occur.
+    """
+
+    def __init__(self, f: Framework, sink: Callable[[TraceEvent], None]) -> None:
+        self.f = f
+        self.sink = sink
+        self.events = 0
+
+    def state(self, state: LabelState, quiescent: bool) -> None:
+        self.events += 1
+        self.sink(trace_event(state, self.f, self.events))
+
+
+def _force(state: LabelState, x: int, probe: Probe) -> None:
     """Enqueue an argument that must join every completion of this branch."""
-    if not state.gamma_add(x):
-        return
-    if stats is not None:
-        stats.propagations += 1
-    if on_force is not None:
-        on_force(
-            frozenset(state.members(IN)),
-            frozenset(state.members(BLANK)),
-            x,
-        )
+    if state.gamma_add(x):
+        probe.force(state, x)
 
 
-def initial_state(
-    f: Framework,
-    *,
-    on_force: ForceHook | None = None,
-    stats: SearchStats | None = None,
-) -> LabelState:
+def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     """Label self-attackers must-out, everything else blank; seed the worklist."""
     mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
     pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
     state = LabelState(mu=mu, pi=pi, gamma=set())
     for x in range(f.n):
         if mu[x] == BLANK and pi[x] == 0:
-            _force(state, f, x, on_force, stats)
+            _force(state, x, probe)
     return state
 
 
-def _on_decrement(
-    state: LabelState,
-    f: Framework,
-    t: int,
-    on_force: ForceHook | None,
-    on_dead_end: DeadEndHook | None,
-    stats: SearchStats | None,
-) -> bool:
+def _on_decrement(state: LabelState, f: Framework, t: int, probe: Probe) -> bool:
     """Apply the three counter triggers to ``t``; False kills the branch."""
     if state.mu[t] == MUST_OUT and state.pi[t] == 0:
-        if on_dead_end is not None:
-            on_dead_end(frozenset(state.members(IN)), frozenset(state.members(BLANK)))
+        probe.dead_end(state)
         return False
     if state.mu[t] == BLANK and state.pi[t] == 0:
-        _force(state, f, t, on_force, stats)
+        _force(state, t, probe)
     elif state.mu[t] == MUST_OUT and state.pi[t] == 1:
         for y in f.pred[t]:
             if state.mu[y] == BLANK:
-                _force(state, f, y, on_force, stats)
+                _force(state, y, probe)
     return True
 
 
-def assign_in(
-    state: LabelState,
-    f: Framework,
-    q: int,
-    *,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
-) -> bool:
+def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) -> bool:
     """Label ``q`` in and relabel its neighborhood; False kills the branch.
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
@@ -220,25 +204,18 @@ def assign_in(
         state.set_mu(z, OUT if (q, z) in f.attack_set else MUST_OUT)
         for t in f.succ[z]:
             state.dec_pi(t)
-            if not _on_decrement(state, f, t, on_force, on_dead_end, stats):
+            if not _on_decrement(state, f, t, probe):
                 return False
     return True
 
 
-def drain(
-    state: LabelState,
-    f: Framework,
-    *,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
-    on_round: Callable[[bool], None] | None = None,
-) -> bool:
+def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     """Assign every queued argument, lowest index first; False kills the branch.
 
     A queued argument that lost its blank label before being popped is
     either already in (skip) or was excluded after being forced, which
-    makes the branch contradictory.
+    makes the branch contradictory.  ``probe`` sees the state after each
+    assignment, as quiescent unless the assignment killed the branch.
     """
     while state.gamma:
         q = min(state.gamma)
@@ -246,14 +223,11 @@ def drain(
             state.gamma_discard(q)
             if state.mu[q] == IN:
                 continue
-            if on_dead_end is not None:
-                on_dead_end(frozenset(state.members(IN)), frozenset(state.members(BLANK)))
-            if on_round is not None:
-                on_round(False)
+            probe.dead_end(state)
+            probe.state(state, False)
             return False
-        ok = assign_in(state, f, q, on_force=on_force, on_dead_end=on_dead_end, stats=stats)
-        if on_round is not None:
-            on_round(ok)
+        ok = assign_in(state, f, q, probe)
+        probe.state(state, ok)
         if not ok:
             return False
     return True
@@ -264,15 +238,7 @@ def is_solution(state: LabelState) -> bool:
     return not any(label == BLANK or label == MUST_OUT for label in state.mu)
 
 
-def mark_must_out(
-    state: LabelState,
-    f: Framework,
-    x: int,
-    *,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
-) -> bool:
+def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:
     """Exclude blank ``x`` and decrement the counters of its targets.
 
     Triggered forcings accumulate in ``gamma``; False kills the branch.
@@ -280,7 +246,7 @@ def mark_must_out(
     state.set_mu(x, MUST_OUT)
     for z in f.succ[x]:
         state.dec_pi(z)
-        if not _on_decrement(state, f, z, on_force, on_dead_end, stats):
+        if not _on_decrement(state, f, z, probe):
             return False
     return True
 
@@ -294,38 +260,24 @@ def enumerate_extensions(
     pick: PickStrategy = lowest_index,
     sink: Callable[[tuple[int, ...]], None] | None = None,
     *,
-    trace: TraceHook | None = None,
-    check_invariants: bool = False,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
+    probe: Probe = NO_PROBE,
     limit: int | None = None,
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    ``trace`` receives a :class:`TraceEvent` at every state boundary: on
-    entry to each recursive search frame, after each worklist assignment,
-    and at each dead end.  ``check_invariants`` validates the state at the
-    quiescent boundaries.  ``limit`` stops the search after that many
-    extensions were delivered to ``sink``.
+    ``probe`` sees every branch, forced argument and dead end, and a state
+    boundary on entry to each recursive search frame, after each worklist
+    assignment and at each dead end; the dead-end boundaries are not
+    quiescent.  ``limit`` stops the search after that many extensions were
+    delivered to ``sink``.
     """
-    state = initial_state(f, on_force=on_force, stats=stats)
+    state = initial_state(f, probe)
     found = 0
-    next_id = 0
-
-    def emit(quiescent: bool) -> None:
-        nonlocal next_id
-        next_id += 1
-        if trace is not None:
-            trace(trace_event(state, f, next_id))
-        if check_invariants and quiescent:
-            check_label_state(f, state)
 
     def search() -> None:
         nonlocal found
-        emit(True)
-        if not drain(state, f, on_force=on_force, on_dead_end=on_dead_end,
-                     stats=stats, on_round=emit):
+        probe.state(state, True)
+        if not drain(state, f, probe):
             return  # caller rolls back
         blanks = state.members(BLANK)
         if not blanks:
@@ -337,18 +289,16 @@ def enumerate_extensions(
                     raise _StopSearch
             return
         x = pick(f, blanks)
-        if stats is not None:
-            stats.branches += 1
+        probe.branch(state, x)
         state.checkpoint()
         state.gamma_add(x)
         search()
         state.rollback()
         state.checkpoint()
-        if mark_must_out(state, f, x, on_force=on_force,
-                         on_dead_end=on_dead_end, stats=stats):
+        if mark_must_out(state, f, x, probe):
             search()
         else:
-            emit(False)
+            probe.state(state, False)
         state.rollback()
 
     try:

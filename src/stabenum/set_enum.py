@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .framework import Framework, attacked_by, attackers_of, initial_partition
-from .invariants import check_set_state
-from .strategies import PickStrategy, SearchStats, lowest_index
-
-ForceHook = Callable[[frozenset[int], frozenset[int], int], None]
-DeadEndHook = Callable[[frozenset[int], frozenset[int]], None]
+from .strategies import NO_PROBE, PickStrategy, Probe, lowest_index
 
 
 @dataclass(frozen=True)
@@ -86,40 +82,26 @@ def is_solution(state: SetState) -> bool:
     return not state.choice and not state.tabu
 
 
-def propagate(
-    state: SetState,
-    f: Framework,
-    *,
-    check_invariants: bool = False,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
-) -> SetState | None:
-    """Apply every forced move; ``None`` means the branch cannot be completed."""
+def propagate(state: SetState, f: Framework, probe: Probe = NO_PROBE) -> SetState | None:
+    """Apply every forced move; ``None`` means the branch cannot be completed.
+
+    ``probe`` sees each forced argument and the state after each join.
+    """
     while True:
         if dead_end(state, f):
-            if on_dead_end is not None:
-                on_dead_end(state.chosen, state.choice)
+            probe.dead_end(state)
             return None
         alpha = forced_in(state, f)
         if alpha:
-            if on_force is not None:
-                for x in sorted(alpha):
-                    on_force(state.chosen, state.choice, x)
-            if stats is not None:
-                stats.propagations += len(alpha)
+            for x in sorted(alpha):
+                probe.force(state, x)
             state = apply_join(state, f, alpha)
-            if check_invariants:
-                check_set_state(f, state)
+            probe.state(state, True)
         beta = sole_attacker(state, f)
         if beta is not None:
-            if on_force is not None:
-                on_force(state.chosen, state.choice, beta)
-            if stats is not None:
-                stats.propagations += 1
+            probe.force(state, beta)
             state = apply_join(state, f, frozenset((beta,)))
-            if check_invariants:
-                check_set_state(f, state)
+            probe.state(state, True)
         if not alpha and beta is None:
             return state
 
@@ -129,26 +111,21 @@ def enumerate_extensions(
     pick: PickStrategy = lowest_index,
     sink: Callable[[tuple[int, ...]], None] | None = None,
     *,
-    check_invariants: bool = False,
-    on_force: ForceHook | None = None,
-    on_dead_end: DeadEndHook | None = None,
-    stats: SearchStats | None = None,
+    probe: Probe = NO_PROBE,
     limit: int | None = None,
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
     ``pick`` selects the branching argument among the remaining choice set;
-    ``limit`` stops the search once that many extensions were delivered.
+    ``probe`` sees every branch, forced argument and dead end, and every
+    state the search moves to, all quiescent; ``limit`` stops the search
+    once that many extensions were delivered.
     """
     found = 0
 
     def visit(state: SetState) -> bool:
         nonlocal found
-        after = propagate(
-            state, f,
-            check_invariants=check_invariants,
-            on_force=on_force, on_dead_end=on_dead_end, stats=stats,
-        )
+        after = propagate(state, f, probe)
         if after is None:
             return False
         if not after.choice:
@@ -160,17 +137,14 @@ def enumerate_extensions(
                     return True
             return False
         x = pick(f, sorted(after.choice))
-        if stats is not None:
-            stats.branches += 1
+        probe.branch(after, x)
         include = apply_join(after, f, frozenset((x,)))
-        if check_invariants:
-            check_set_state(f, include)
+        probe.state(include, True)
         if visit(include):
             return True
         exclude = SetState(after.chosen, after.defeated,
                            after.choice - {x}, after.tabu | {x})
-        if check_invariants:
-            check_set_state(f, exclude)
+        probe.state(exclude, True)
         return visit(exclude)
 
     visit(start_state(f))

@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from stabenum.framework import Framework, build
+from stabenum.strategies import Probe
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -52,6 +53,21 @@ def pi_table(state, f: Framework) -> dict[str, int]:
 
 def gamma_list(state, f: Framework) -> list[str]:
     return [f.names[x] for x in sorted(state.gamma)]
+
+
+class Recorder(Probe):
+    """Records ``(chosen, choice, x)`` per forced argument and
+    ``(chosen, choice)`` per dead end."""
+
+    def __init__(self) -> None:
+        self.forced: list[tuple[frozenset[int], frozenset[int], int]] = []
+        self.dead: list[tuple[frozenset[int], frozenset[int]]] = []
+
+    def force(self, state, x: int) -> None:
+        self.forced.append((state.chosen, state.choice, x))
+
+    def dead_end(self, state) -> None:
+        self.dead.append((state.chosen, state.choice))
 
 
 @st.composite

@@ -11,11 +11,11 @@ import pytest
 from stabenum import label_enum, set_enum
 from stabenum.framework import build
 from stabenum.generators import GenSpec, family, random_af
-from stabenum.invariants import InvariantViolation
+from stabenum.invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from stabenum.label_enum import BLANK, assign_in, drain, initial_state, mark_must_out
 from stabenum.oracle import enumerate_bruteforce, succ_masks
 
-from conftest import h1_framework, ids
+from conftest import Recorder, h1_framework, ids
 from test_label_enum import T1, T3, T5, T6, T7, T8, T9, T10
 
 
@@ -56,7 +56,7 @@ def test_criterion_1_golden_run():
 def test_criterion_2_trace_reproduction():
     h1 = h1_framework()
     events: list = []
-    label_enum.enumerate_extensions(h1, trace=events.append)
+    label_enum.enumerate_extensions(h1, probe=label_enum.Tracer(h1, events.append))
     got = [(e.mu, e.pi, e.gamma) for e in events]
     # positions of the golden snapshots inside the full event stream
     expected = {0: T1, 2: T3, 5: T5, 6: T6, 7: T7, 8: T8, 9: T9, 10: T10}
@@ -88,11 +88,14 @@ def sweep():
             f = random_af(GenSpec(n=n, p=p, allow_self_loops=allow, seed=seed))
             expected = enumerate_bruteforce(f)
             tag = f"n={n} p={p} selfloops={allow} seed={seed}"
-            for name, engine in (("set", set_enum), ("label", label_enum)):
+            for name, engine, check in (
+                ("set", set_enum, check_set_state),
+                ("label", label_enum, check_label_state),
+            ):
                 found: list = []
                 try:
                     engine.enumerate_extensions(
-                        f, sink=found.append, check_invariants=True
+                        f, sink=found.append, probe=Checker(f, check)
                     )
                 except InvariantViolation as exc:
                     violations.append(f"{name} {tag}: {exc}")
@@ -184,13 +187,11 @@ def test_criterion_5_pruning_soundness():
                 seed=9000 + i,
             )
         )
-        events: list = []
-        hooks = dict(
-            on_force=lambda chosen, choice, x: events.append(("force", chosen, choice, x)),
-            on_dead_end=lambda chosen, choice: events.append(("dead_end", chosen, choice, None)),
-        )
-        set_enum.enumerate_extensions(f, **hooks)
-        label_enum.enumerate_extensions(f, **hooks)
+        probe = Recorder()
+        set_enum.enumerate_extensions(f, probe=probe)
+        label_enum.enumerate_extensions(f, probe=probe)
+        events = [("force", *event) for event in probe.forced]
+        events += [("dead_end", chosen, choice, None) for chosen, choice in probe.dead]
         checked += len(events)
         failures.extend(_verify_events(f, events))
     _report(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from stabenum import cli
-from stabenum.cli import RunConfig, bench, execute, main, parse_gen, run
+from stabenum.cli import RunConfig, execute, main, parse_gen, run
 from stabenum.generators import GenSpec
 
 from conftest import DATA_DIR, h1_framework
@@ -133,6 +133,25 @@ def test_main_missing_file(capsys):
     assert "stabenum" in capsys.readouterr().err
 
 
+def test_main_non_utf8_input_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.apx"
+    path.write_bytes(b"arg(a).\xff\n")
+    assert main([str(path)]) == 1
+    assert "stabenum" in capsys.readouterr().err
+
+
+def test_main_unwritable_trace_exits_one(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "h1.apx"
+    path.write_text(H1_APX)
+
+    def search(*args, **kwargs):
+        raise AssertionError("searched before the trace file was opened")
+
+    monkeypatch.setattr(cli.label_enum, "enumerate_extensions", search)
+    assert main([str(path), "--trace", str(tmp_path / "missing" / "t.jsonl")]) == 1
+    assert "stabenum" in capsys.readouterr().err
+
+
 def test_main_trace_requires_label_engine(tmp_path, capsys):
     path = tmp_path / "h1.apx"
     path.write_text(H1_APX)
@@ -155,52 +174,15 @@ def test_main_gen_and_input_conflict(tmp_path):
 
 
 def test_parse_gen_forms():
-    spec, seeds = parse_gen("10,0.25,7")
+    spec = parse_gen("10,0.25,7")
     assert spec == GenSpec(n=10, p=0.25, allow_self_loops=False, seed=7)
-    assert seeds == [7]
-    spec, seeds = parse_gen("5,0.5,1..4,selfloops")
-    assert spec.allow_self_loops
-    assert seeds == [1, 2, 3, 4]
+    assert parse_gen("5,0.5,1,selfloops").allow_self_loops
+    with pytest.raises(ValueError):
+        parse_gen("5,0.5,1..4")
     with pytest.raises(ValueError):
         parse_gen("5,0.5")
     with pytest.raises(ValueError):
         parse_gen("5,0.5,1,loops")
-
-
-def test_bench_engines_agree():
-    code, output = bench(GenSpec(n=10, p=0.2), seeds=range(1, 11), engines=("set", "label"))
-    assert code == 0
-    lines = output.splitlines()
-    assert len(lines) == 20
-    assert all("count=" in line and "time_ms=" in line for line in lines)
-
-
-def test_bench_single_engine():
-    code, output = bench(GenSpec(n=8, p=0.3), seeds=[1, 2], engines=("label",))
-    assert code == 0
-    assert len(output.splitlines()) == 2
-
-
-def test_bench_bruteforce_guard(capsys):
-    code, _ = bench(GenSpec(n=30, p=0.1), seeds=[1], engines=("bruteforce",))
-    assert code == 1
-    assert "brute-force" in capsys.readouterr().err
-
-
-def test_bench_count_mismatch(monkeypatch, capsys):
-    def wrong(f, **kwargs):
-        return 99
-
-    monkeypatch.setattr(cli.set_enum, "enumerate_extensions", wrong)
-    code, _ = bench(GenSpec(n=6, p=0.2), seeds=[3], engines=("set", "label"))
-    assert code == 2
-    assert "mismatch" in capsys.readouterr().err
-
-
-def test_main_bench(capsys):
-    assert main(["--bench", "--gen", "8,0.2,1..3", "--engines", "set,label"]) == 0
-    out = capsys.readouterr().out
-    assert len(out.splitlines()) == 6
 
 
 def test_execute_verify_on_generated():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 
 from stabenum.framework import build
-from stabenum.invariants import check_label_state
+from stabenum.invariants import Checker, check_label_state
 from stabenum.label_enum import (
     BLANK,
     IN,
     MUST_OUT,
+    Tracer,
     UnbalancedRollback,
     assign_in,
     drain,
@@ -21,10 +22,10 @@ from stabenum.label_enum import (
     trace_event,
 )
 from stabenum.oracle import enumerate_bruteforce
-from stabenum.strategies import STRATEGIES
+from stabenum.strategies import STRATEGIES, FanOut, Probe
 from stabenum.generators import GenSpec, random_af
 
-from conftest import frameworks, gamma_list, ids, mu_table, pi_table
+from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pi_table
 
 ALL_BLANK = dict.fromkeys("abcdef", "blank")
 
@@ -152,7 +153,12 @@ def test_drain_intermediate_round(h1):
     state = initial_state(h1)
     state.gamma_add(h1.index_of["b"])
     rounds = []
-    assert drain(state, h1, on_round=lambda ok: rounds.append(tables(state, h1)))
+
+    class Rounds(Probe):
+        def state(self, state, quiescent):
+            rounds.append(tables(state, h1))
+
+    assert drain(state, h1, Rounds())
     assert rounds[0] == T7
     assert rounds[1] == T8
 
@@ -257,7 +263,8 @@ def test_enumerate_limit(h1):
 
 def test_golden_trace_stream(h1):
     events = []
-    enumerate_extensions(h1, trace=events.append, check_invariants=True)
+    probe = FanOut(Tracer(h1, events.append), Checker(h1, check_label_state))
+    enumerate_extensions(h1, probe=probe)
     got = [(e.mu, e.pi, e.gamma) for e in events]
     intermediate = (
         {"a": "in", "b": "out", "c": "in", "d": "blank", "e": "must_out", "f": "must_out"},
@@ -286,8 +293,9 @@ def test_stale_worklist_entry_is_dead_end():
     assert assign_in(state, f, 0)
     assert state.gamma == {2}
     assert state.mu[2] == MUST_OUT
-    dead = []
-    assert not drain(state, f, on_dead_end=lambda chosen, blank: dead.append(chosen))
+    probe = Recorder()
+    assert not drain(state, f, probe)
+    dead = [chosen for chosen, blank in probe.dead]
     assert dead == [frozenset({0})]
     assert enumerate_extensions(f) == 0
 
@@ -302,7 +310,7 @@ def test_counters_stay_non_negative(h1):
 @given(frameworks(max_args=7))
 def test_agrees_with_bruteforce(f):
     found = []
-    enumerate_extensions(f, sink=found.append, check_invariants=True)
+    enumerate_extensions(f, sink=found.append, probe=Checker(f, check_label_state))
     assert sorted(found) == enumerate_bruteforce(f)
 
 

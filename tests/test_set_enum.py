@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from stabenum.framework import build
-from stabenum.invariants import check_set_state
+from stabenum.invariants import Checker, check_set_state
 from stabenum.oracle import enumerate_bruteforce
 from stabenum.set_enum import (
     SetState,
@@ -19,7 +19,7 @@ from stabenum.set_enum import (
 )
 from stabenum.strategies import STRATEGIES, SearchStats
 
-from conftest import frameworks, ids
+from conftest import Recorder, frameworks, ids
 
 
 def state(f, chosen="", defeated="", choice="", tabu=""):
@@ -98,11 +98,9 @@ def test_propagate_attack_free_takes_everything():
 
 
 def test_propagate_dead_end(h1):
-    events = []
-    result = propagate(
-        state(h1, choice="cdef", tabu="ab"), h1,
-        on_dead_end=lambda chosen, choice: events.append((chosen, choice)),
-    )
+    probe = Recorder()
+    result = propagate(state(h1, choice="cdef", tabu="ab"), h1, probe)
+    events = probe.dead
     assert result is None
     assert events and events[0][0] == ids(h1, "d")
 
@@ -163,7 +161,7 @@ def test_example_run_replay(h1):
 @given(frameworks(max_args=7))
 def test_agrees_with_bruteforce(f):
     found = []
-    enumerate_extensions(f, sink=found.append, check_invariants=True)
+    enumerate_extensions(f, sink=found.append, probe=Checker(f, check_set_state))
     assert sorted(found) == enumerate_bruteforce(f)
 
 
@@ -186,20 +184,16 @@ def test_no_duplicates(f):
 
 def test_stats_recorded(h1):
     stats = SearchStats()
-    enumerate_extensions(h1, stats=stats)
+    enumerate_extensions(h1, probe=stats)
     assert stats.branches >= 2
     assert stats.propagations >= 3
 
 
 def test_forcings_and_dead_ends_sound_small():
     f = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    forced = []
-    dead = []
-    enumerate_extensions(
-        f,
-        on_force=lambda chosen, choice, x: forced.append((chosen, choice, x)),
-        on_dead_end=lambda chosen, choice: dead.append((chosen, choice)),
-    )
+    probe = Recorder()
+    enumerate_extensions(f, probe=probe)
+    forced, dead = probe.forced, probe.dead
     oracle = [frozenset(e) for e in enumerate_bruteforce(f)]
     for chosen, choice, x in forced:
         for ext in oracle:
