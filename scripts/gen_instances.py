@@ -16,9 +16,12 @@ from stabenum.generators import GenSpec, random_af
 
 
 def seed_range(text: str) -> list[int]:
+    """Parse ``SEED`` or an inclusive ``LO..HI`` range; an empty range is an error."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 

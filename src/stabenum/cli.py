@@ -125,8 +125,8 @@ def run(config: RunConfig, text: str, source: str = "<input>") -> tuple[int, str
     try:
         f = parse_apx(text, diagnostics) if fmt == "apx" else parse_tgf(text, diagnostics)
     except (ParseError, UnknownArgument) as exc:
-        line = getattr(exc, "line", None)
-        print(f"{source}:{line if line is not None else '?'}: {exc}", file=sys.stderr)
+        line = "?" if exc.line is None else exc.line
+        print(f"{source}:{line}: {exc.message}", file=sys.stderr)
         return 1, ""
     for diag in diagnostics:
         print(f"{source}:{diag.line}: {diag.severity}: {diag.message}", file=sys.stderr)
@@ -208,7 +208,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.input is None:
             parser.error("an input file (or --gen) is required")
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
+            with open(args.input, "r", encoding="utf-8-sig") as handle:
                 text = handle.read()
         except OSError as exc:
             print(f"stabenum: {exc}", file=sys.stderr)

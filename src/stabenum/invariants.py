@@ -62,8 +62,10 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
 
     Checks the label partition against the set-based invariants, that
     every maintained counter of a blank or must-out argument is fresh,
-    and that the counter shortcuts coincide with the set conditions they
-    stand for.
+    that the counter shortcuts coincide with the set conditions they
+    stand for, and that propagation is complete: no must-out argument is
+    left without a blank attacker, and every argument a trigger forces is
+    queued.
     """
     from .label_enum import BLANK, IN, MUST_OUT, OUT
 
@@ -108,3 +110,16 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
             x in must_outs and len(blank_attackers) == 1
         ):
             raise InvariantViolation(f"one-counter shortcut wrong for {f.names[x]}")
+
+    for x in sorted(must_outs):
+        if state.pi[x] == 0:
+            raise InvariantViolation(f"must-out {f.names[x]} has no blank attacker left")
+        if state.pi[x] == 1:
+            (y,) = (y for y in f.pred[x] if state.mu[y] == BLANK)
+            if y not in state.gamma:
+                raise InvariantViolation(
+                    f"last blank attacker {f.names[y]} of must-out {f.names[x]} is not queued"
+                )
+    for x in sorted(blanks):
+        if state.pi[x] == 0 and x not in state.gamma:
+            raise InvariantViolation(f"unattacked blank {f.names[x]} is not queued")

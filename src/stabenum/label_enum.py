@@ -11,6 +11,12 @@ still blank, so all propagation triggers are O(1) tests:
   attacker in,
 * a must-out argument whose counter hits zero kills the branch.
 
+The must-out triggers fire both when a counter drops and when an argument
+becomes must-out (self-attackers at the root, attackers of an argument
+assigned in, the excluded branch argument), so the search prunes exactly
+where the set engine's ``dead_end`` and ``sole_attacker`` do and explores
+the same tree.
+
 Forced arguments accumulate in the worklist ``gamma`` and are assigned by
 :func:`drain`.  All mutations are journalled on a trail; backtracking
 replays the journal backwards to a checkpoint, which restores ``mu``,
@@ -160,18 +166,7 @@ def _force(state: LabelState, x: int, probe: Probe) -> None:
         probe.force(state, x)
 
 
-def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
-    """Label self-attackers must-out, everything else blank; seed the worklist."""
-    mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
-    pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
-    state = LabelState(mu=mu, pi=pi, gamma=set())
-    for x in range(f.n):
-        if mu[x] == BLANK and pi[x] == 0:
-            _force(state, x, probe)
-    return state
-
-
-def _on_decrement(state: LabelState, f: Framework, t: int, probe: Probe) -> bool:
+def _fire(state: LabelState, f: Framework, t: int, probe: Probe) -> bool:
     """Apply the three counter triggers to ``t``; False kills the branch."""
     if state.mu[t] == MUST_OUT and state.pi[t] == 0:
         probe.dead_end(state)
@@ -182,16 +177,39 @@ def _on_decrement(state: LabelState, f: Framework, t: int, probe: Probe) -> bool
         for y in f.pred[t]:
             if state.mu[y] == BLANK:
                 _force(state, y, probe)
+                break
     return True
+
+
+def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
+    """Label self-attackers must-out, everything else blank; seed the worklist.
+
+    Every argument fires its triggers.  A self-attacker without another
+    attacker makes the root a dead end: ``probe`` is told and the remaining
+    triggers are skipped; :func:`root_is_dead` recognises such a state.
+    """
+    mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
+    pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
+    state = LabelState(mu=mu, pi=pi, gamma=set())
+    for x in range(f.n):
+        if not _fire(state, f, x, probe):
+            break
+    return state
+
+
+def root_is_dead(state: LabelState, f: Framework) -> bool:
+    """True iff a self-attacker of the :func:`initial_state` has no blank attacker."""
+    return any(f.self_loop[x] and state.pi[x] == 0 for x in range(f.n))
 
 
 def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) -> bool:
     """Label ``q`` in and relabel its neighborhood; False kills the branch.
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
-    (targets) or must-out (attackers); each such relabelling decrements the
-    counters of the neighbor's targets, firing the propagation triggers.
-    The state is left as-is on a dead end so the caller can roll it back.
+    (targets) or must-out (attackers); a new must-out attacker fires its
+    own triggers, and each relabelling decrements the counters of the
+    neighbor's targets, firing theirs.  The state is left as-is on a dead
+    end so the caller can roll it back.
     """
     state.gamma_discard(q)
     state.set_mu(q, IN)
@@ -201,10 +219,15 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     for z in sorted(set(f.pred[q]) | set(f.succ[q])):
         if state.mu[z] != BLANK:
             continue
-        state.set_mu(z, OUT if (q, z) in f.attack_set else MUST_OUT)
+        if (q, z) in f.attack_set:
+            state.set_mu(z, OUT)
+        else:
+            state.set_mu(z, MUST_OUT)
+            if not _fire(state, f, z, probe):
+                return False
         for t in f.succ[z]:
             state.dec_pi(t)
-            if not _on_decrement(state, f, t, probe):
+            if not _fire(state, f, t, probe):
                 return False
     return True
 
@@ -212,20 +235,16 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
 def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     """Assign every queued argument, lowest index first; False kills the branch.
 
-    A queued argument that lost its blank label before being popped is
-    either already in (skip) or was excluded after being forced, which
-    makes the branch contradictory.  ``probe`` sees the state after each
-    assignment, as quiescent unless the assignment killed the branch.
+    A popped argument is always blank, which is asserted: a queued argument
+    that loses its blank label ends the branch inside the :func:`assign_in`
+    or :func:`mark_must_out` that relabels it, since its own trigger or
+    that of the must-out argument it was forced for fires there.  ``probe``
+    sees the state after each assignment, as quiescent unless the
+    assignment killed the branch.
     """
     while state.gamma:
         q = min(state.gamma)
-        if state.mu[q] != BLANK:
-            state.gamma_discard(q)
-            if state.mu[q] == IN:
-                continue
-            probe.dead_end(state)
-            probe.state(state, False)
-            return False
+        assert state.mu[q] == BLANK, f"stale worklist entry {f.names[q]}"
         ok = assign_in(state, f, q, probe)
         probe.state(state, ok)
         if not ok:
@@ -239,14 +258,16 @@ def is_solution(state: LabelState) -> bool:
 
 
 def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:
-    """Exclude blank ``x`` and decrement the counters of its targets.
+    """Exclude blank ``x``, fire its triggers and decrement its targets' counters.
 
     Triggered forcings accumulate in ``gamma``; False kills the branch.
     """
     state.set_mu(x, MUST_OUT)
+    if not _fire(state, f, x, probe):
+        return False
     for z in f.succ[x]:
         state.dec_pi(z)
-        if not _on_decrement(state, f, z, probe):
+        if not _fire(state, f, z, probe):
             return False
     return True
 
@@ -267,11 +288,14 @@ def enumerate_extensions(
 
     ``probe`` sees every branch, forced argument and dead end, and a state
     boundary on entry to each recursive search frame, after each worklist
-    assignment and at each dead end; the dead-end boundaries are not
-    quiescent.  ``limit`` stops the search after that many extensions were
-    delivered to ``sink``.
+    assignment and at each dead end, including a dead root; the dead-end
+    boundaries are not quiescent.  ``limit`` stops the search after that
+    many extensions were delivered to ``sink``.
     """
     state = initial_state(f, probe)
+    if root_is_dead(state, f):
+        probe.state(state, False)
+        return 0
     found = 0
 
     def search() -> None:
@@ -281,12 +305,13 @@ def enumerate_extensions(
             return  # caller rolls back
         blanks = state.members(BLANK)
         if not blanks:
-            if is_solution(state):
-                found += 1
-                if sink is not None:
-                    sink(state.members(IN))
-                if limit is not None and found >= limit:
-                    raise _StopSearch
+            # every must-out argument keeps a blank attacker, so none is left
+            assert is_solution(state)
+            found += 1
+            if sink is not None:
+                sink(state.members(IN))
+            if limit is not None and found >= limit:
+                raise _StopSearch
             return
         x = pick(f, blanks)
         probe.branch(state, x)

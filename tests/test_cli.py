@@ -67,7 +67,7 @@ def test_single_task_prints_one():
 def test_parse_error_exits_one(capsys):
     code, _ = run(RunConfig(format="apx"), "arg(a)\n")
     assert code == 1
-    assert "line 1" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("<input>:1: malformed fact")
 
 
 def test_undeclared_argument_exits_one(capsys):
@@ -138,6 +138,13 @@ def test_main_non_utf8_input_exits_one(tmp_path, capsys):
     path.write_bytes(b"arg(a).\xff\n")
     assert main([str(path)]) == 1
     assert "stabenum" in capsys.readouterr().err
+
+
+def test_main_input_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.apx"
+    path.write_bytes(b"\xef\xbb\xbf" + H1_APX.encode())
+    assert main([str(path)]) == 0
+    assert capsys.readouterr().out == "[a,c,d]\n[b,e]\n"
 
 
 def test_main_unwritable_trace_exits_one(tmp_path, capsys, monkeypatch):

@@ -19,10 +19,11 @@ from stabenum.label_enum import (
     initial_state,
     is_solution,
     mark_must_out,
+    root_is_dead,
     trace_event,
 )
 from stabenum.oracle import enumerate_bruteforce
-from stabenum.strategies import STRATEGIES, FanOut, Probe
+from stabenum.strategies import STRATEGIES, FanOut, Probe, SearchStats
 from stabenum.generators import GenSpec, random_af
 
 from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pi_table
@@ -255,6 +256,44 @@ def test_enumerate_all_self_loops():
     assert enumerate_extensions(f) == 0
 
 
+def test_dead_root_takes_no_branch():
+    # b attacks only itself, so it can never be attacked by an extension
+    f = build(["a", "b"], [("a", "a"), ("b", "b"), ("b", "a")])
+    events = []
+
+    class Events(Recorder):
+        def state(self, state, quiescent):
+            events.append(("state", quiescent))
+
+        def branch(self, state, x):
+            events.append(("branch", x))
+
+    probe = Events()
+    assert enumerate_extensions(f, probe=probe) == 0
+    assert events == [("state", False)]
+    assert probe.dead == [(frozenset(), frozenset())]
+    assert root_is_dead(initial_state(f), f)
+
+
+def test_initial_state_self_attacker_forces_last_attacker():
+    f = build(["a", "b", "c"], [("a", "a"), ("b", "a"), ("b", "c"), ("c", "b")])
+    state = initial_state(f)
+    assert state.pi == [1, 1, 1]
+    assert state.gamma == {1}
+    assert not root_is_dead(state, f)
+    stats = SearchStats()
+    assert enumerate_extensions(f, probe=stats) == 1
+    assert stats.branches == 0
+
+
+def test_mark_must_out_dead_without_blank_attacker():
+    f = build(["x", "y"], [("x", "y")])
+    state = initial_state(f)
+    probe = Recorder()
+    assert not mark_must_out(state, f, 0, probe)
+    assert probe.dead == [(frozenset(), frozenset({1}))]
+
+
 def test_enumerate_limit(h1):
     found = []
     assert enumerate_extensions(h1, sink=found.append, limit=1) == 1
@@ -286,15 +325,15 @@ def test_trace_event_round_trips_to_dict(h1):
 
 def test_stale_worklist_entry_is_dead_end():
     # In the directed 3-cycle, assigning one argument forces its attacker's
-    # attacker in, then relabels it out in the same pass; the stale queue
-    # entry must kill the branch.
+    # attacker in, then relabels it must-out in the same pass; with no blank
+    # attacker left, its own trigger kills the branch before drain could pop
+    # the stale queue entry.
     f = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
     state = initial_state(f)
-    assert assign_in(state, f, 0)
+    probe = Recorder()
+    assert not assign_in(state, f, 0, probe)
     assert state.gamma == {2}
     assert state.mu[2] == MUST_OUT
-    probe = Recorder()
-    assert not drain(state, f, probe)
     dead = [chosen for chosen, blank in probe.dead]
     assert dead == [frozenset({0})]
     assert enumerate_extensions(f) == 0
@@ -352,6 +391,26 @@ def test_invariant_checker_accepts_boundary_states(h1):
     state.gamma_add(h1.index_of["a"])
     drain(state, h1)
     check_label_state(h1, state)
+
+
+@pytest.mark.parametrize(
+    "attacks, mu, gamma, message",
+    [
+        ([("y", "x")], [MUST_OUT, MUST_OUT], set(), "no blank attacker"),
+        ([("y", "x")], [MUST_OUT, BLANK], set(), "is not queued"),
+        ([], [BLANK, BLANK], {0}, "unattacked blank y"),
+    ],
+)
+def test_invariant_checker_rejects_missed_trigger(attacks, mu, gamma, message):
+    from stabenum.invariants import InvariantViolation
+
+    f = build(["x", "y"], attacks)
+    state = initial_state(f)
+    state.mu = list(mu)
+    state.pi = [sum(1 for y in f.pred[x] if mu[y] == BLANK) for x in range(f.n)]
+    state.gamma = set(gamma)
+    with pytest.raises(InvariantViolation, match=message):
+        check_label_state(f, state)
 
 
 def test_invariant_checker_rejects_stale_counter(h1):
