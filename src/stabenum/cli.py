@@ -77,7 +77,6 @@ def _enumerate(
 
 def execute(config: RunConfig, f: Framework) -> tuple[int, str]:
     """Enumerate on an already-built framework; returns (exit code, stdout)."""
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * f.n + 200))
     try:
         with (
             open(config.trace, "w", encoding="utf-8")

@@ -31,7 +31,6 @@ class Framework:
     succ: tuple[tuple[int, ...], ...] = field(compare=False)
     pred: tuple[tuple[int, ...], ...] = field(compare=False)
     self_loop: tuple[bool, ...] = field(compare=False)
-    attack_set: frozenset[tuple[int, int]] = field(compare=False, repr=False)
     index_of: dict[str, int] = field(compare=False, repr=False)
 
     @property
@@ -86,7 +85,6 @@ def build(
         succ=tuple(tuple(sorted(t)) for t in succ),
         pred=tuple(tuple(sorted(t)) for t in pred),
         self_loop=tuple((x, x) in seen for x in range(n)),
-        attack_set=frozenset(seen),
         index_of=index,
     )
 

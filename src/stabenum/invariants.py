@@ -61,11 +61,11 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     """Validate labels and counters of the label-based engine.
 
     Checks the label partition against the set-based invariants, that
-    every maintained counter of a blank or must-out argument is fresh,
-    that the counter shortcuts coincide with the set conditions they
-    stand for, and that propagation is complete: no must-out argument is
-    left without a blank attacker, and every argument a trigger forces is
-    queued.
+    every maintained counter of a blank or must-out argument is fresh, and
+    that propagation is complete: no must-out argument is left without a
+    blank attacker, and every argument a trigger forces is queued.  Then
+    checks the engine's own bookkeeping: the label counts match the labels
+    and every queued argument is on the worklist heap.
     """
     from .label_enum import BLANK, IN, MUST_OUT, OUT
 
@@ -95,22 +95,6 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
                 f"stale counter for {f.names[x]}: {state.pi[x]} != {fresh}"
             )
 
-    for x in universe:
-        blank_attackers = [y for y in f.pred[x] if state.mu[y] == BLANK]
-        attackers_blocked = all(state.mu[y] in (OUT, MUST_OUT) for y in f.pred[x])
-        if (state.mu[x] == MUST_OUT and state.pi[x] == 0) != (
-            x in must_outs and attackers_blocked
-        ):
-            raise InvariantViolation(f"zero-counter shortcut wrong for excluded {f.names[x]}")
-        if (state.mu[x] == BLANK and state.pi[x] == 0) != (
-            x in blanks and attackers_blocked
-        ):
-            raise InvariantViolation(f"zero-counter shortcut wrong for blank {f.names[x]}")
-        if (state.mu[x] == MUST_OUT and state.pi[x] == 1) != (
-            x in must_outs and len(blank_attackers) == 1
-        ):
-            raise InvariantViolation(f"one-counter shortcut wrong for {f.names[x]}")
-
     for x in sorted(must_outs):
         if state.pi[x] == 0:
             raise InvariantViolation(f"must-out {f.names[x]} has no blank attacker left")
@@ -123,3 +107,14 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     for x in sorted(blanks):
         if state.pi[x] == 0 and x not in state.gamma:
             raise InvariantViolation(f"unattacked blank {f.names[x]} is not queued")
+
+    counts = [0] * len(state.counts)
+    for label in state.mu:
+        counts[label] += 1
+    if state.counts != counts:
+        raise InvariantViolation(f"label counts {state.counts} != histogram of labels {counts}")
+    off_heap = state.gamma.difference(state.heap)
+    if off_heap:
+        raise InvariantViolation(
+            f"queued arguments missing from the heap: {[f.names[x] for x in sorted(off_heap)]}"
+        )

@@ -18,19 +18,26 @@ where the set engine's ``dead_end`` and ``sole_attacker`` do and explores
 the same tree.
 
 Forced arguments accumulate in the worklist ``gamma`` and are assigned by
-:func:`drain`.  All mutations are journalled on a trail; backtracking
-replays the journal backwards to a checkpoint, which restores ``mu``,
-``pi`` and ``gamma`` exactly.
+:func:`drain`, lowest index first, through a heap.  The search branches on
+the first blank argument of a static order, found by a cursor that only
+moves forward along a path, and keeps per-label counts, so a search frame
+costs O(changes), not O(n): no frame scans all labels, only the report of
+an extension does, and the cursor passes each argument once per path.
+All mutations are journalled on a trail; backtracking replays the journal
+backwards to a checkpoint, which restores ``mu``, ``pi``, ``gamma`` and
+the label counts exactly.  The search runs on an explicit stack, so its
+depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable
 
 from .framework import Framework
-from .strategies import NO_PROBE, PickStrategy, Probe, lowest_index
+from .strategies import NO_PROBE, BranchOrder, Probe, lex_order
 
 
 class Label(enum.IntEnum):
@@ -48,6 +55,9 @@ BLANK, IN, OUT, MUST_OUT = Label
 # trail record kinds
 _MU, _PI, _G_ADD, _G_DEL = range(4)
 
+# marks a branch whose out-branch is under way on the search stack
+_OUT_BRANCH = -1
+
 
 class UnbalancedRollback(RuntimeError):
     """rollback() was called without a matching checkpoint()."""
@@ -55,17 +65,33 @@ class UnbalancedRollback(RuntimeError):
 
 @dataclass
 class LabelState:
-    """Mutable search state: labels, counters, worklist, undo trail."""
+    """Mutable search state: labels, counters, worklist, undo trail.
+
+    ``counts[label]`` is the number of arguments carrying ``label``.
+    ``heap`` holds every queued argument, plus stale entries of arguments
+    that have left ``gamma``; they are dropped when they reach the top.
+    """
 
     mu: list[Label]
     pi: list[int]
     gamma: set[int]
     trail: list[tuple[int, int, int]] = field(default_factory=list)
     checkpoints: list[int] = field(default_factory=list)
+    counts: list[int] = field(init=False)
+    heap: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.counts = [0] * len(Label)
+        for label in self.mu:
+            self.counts[label] += 1
+        self.heap = sorted(self.gamma)
 
     def set_mu(self, x: int, label: Label) -> None:
-        self.trail.append((_MU, x, self.mu[x]))
+        old = self.mu[x]
+        self.trail.append((_MU, x, old))
         self.mu[x] = label
+        self.counts[old] -= 1
+        self.counts[label] += 1
 
     def dec_pi(self, x: int) -> None:
         self.trail.append((_PI, x, self.pi[x]))
@@ -77,12 +103,20 @@ class LabelState:
             return False
         self.trail.append((_G_ADD, x, 0))
         self.gamma.add(x)
+        heappush(self.heap, x)
         return True
 
     def gamma_discard(self, x: int) -> None:
         if x in self.gamma:
             self.trail.append((_G_DEL, x, 0))
             self.gamma.remove(x)
+
+    def first_queued(self) -> int:
+        """The lowest queued argument; ``gamma`` must not be empty."""
+        heap, gamma = self.heap, self.gamma
+        while heap[0] not in gamma:
+            heappop(heap)
+        return heap[0]
 
     def checkpoint(self) -> None:
         self.checkpoints.append(len(self.trail))
@@ -92,19 +126,26 @@ class LabelState:
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
         mark = self.checkpoints.pop()
-        while len(self.trail) > mark:
-            kind, x, old = self.trail.pop()
+        undo = self.trail[mark:]
+        del self.trail[mark:]
+        mu, pi, gamma, counts = self.mu, self.pi, self.gamma, self.counts
+        for kind, x, old in reversed(undo):
             if kind == _MU:
-                self.mu[x] = Label(old)
+                counts[mu[x]] -= 1
+                counts[old] += 1
+                mu[x] = old
             elif kind == _PI:
-                self.pi[x] = old
+                pi[x] = old
             elif kind == _G_ADD:
-                self.gamma.discard(x)
+                gamma.discard(x)
             else:
-                self.gamma.add(x)
+                gamma.add(x)
+                heappush(self.heap, x)
+        if not gamma:
+            self.heap.clear()  # every entry is stale
 
     def members(self, label: Label) -> tuple[int, ...]:
-        return tuple(x for x in range(len(self.mu)) if self.mu[x] == label)
+        return tuple([x for x, y in enumerate(self.mu) if y == label])
 
     @property
     def chosen(self) -> frozenset[int]:
@@ -168,16 +209,21 @@ def _force(state: LabelState, x: int, probe: Probe) -> None:
 
 def _fire(state: LabelState, f: Framework, t: int, probe: Probe) -> bool:
     """Apply the three counter triggers to ``t``; False kills the branch."""
-    if state.mu[t] == MUST_OUT and state.pi[t] == 0:
-        probe.dead_end(state)
-        return False
-    if state.mu[t] == BLANK and state.pi[t] == 0:
-        _force(state, t, probe)
-    elif state.mu[t] == MUST_OUT and state.pi[t] == 1:
-        for y in f.pred[t]:
-            if state.mu[y] == BLANK:
-                _force(state, y, probe)
-                break
+    label = state.mu[t]
+    if label == BLANK:
+        if state.pi[t] == 0:
+            _force(state, t, probe)
+    elif label == MUST_OUT:
+        left = state.pi[t]
+        if left == 0:
+            probe.dead_end(state)
+            return False
+        if left == 1:
+            mu = state.mu
+            for y in f.pred[t]:
+                if mu[y] == BLANK:
+                    _force(state, y, probe)
+                    break
     return True
 
 
@@ -211,15 +257,17 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     neighbor's targets, firing theirs.  The state is left as-is on a dead
     end so the caller can roll it back.
     """
+    mu = state.mu
     state.gamma_discard(q)
     state.set_mu(q, IN)
+    targets = set(f.succ[q])
     for z in f.succ[q]:
-        if state.mu[z] == MUST_OUT:
+        if mu[z] == MUST_OUT:
             state.set_mu(z, OUT)
-    for z in sorted(set(f.pred[q]) | set(f.succ[q])):
-        if state.mu[z] != BLANK:
+    for z in sorted(targets.union(f.pred[q])):
+        if mu[z] != BLANK:
             continue
-        if (q, z) in f.attack_set:
+        if z in targets:
             state.set_mu(z, OUT)
         else:
             state.set_mu(z, MUST_OUT)
@@ -243,7 +291,7 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     assignment killed the branch.
     """
     while state.gamma:
-        q = min(state.gamma)
+        q = state.first_queued()
         assert state.mu[q] == BLANK, f"stale worklist entry {f.names[q]}"
         ok = assign_in(state, f, q, probe)
         probe.state(state, ok)
@@ -254,7 +302,7 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
 
 def is_solution(state: LabelState) -> bool:
     """True iff no blank and no must-out labels remain; the in-set is then stable."""
-    return not any(label == BLANK or label == MUST_OUT for label in state.mu)
+    return state.counts[BLANK] == 0 and state.counts[MUST_OUT] == 0
 
 
 def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:
@@ -272,13 +320,9 @@ def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PRO
     return True
 
 
-class _StopSearch(Exception):
-    pass
-
-
 def enumerate_extensions(
     f: Framework,
-    pick: PickStrategy = lowest_index,
+    pick: BranchOrder = lex_order,
     sink: Callable[[tuple[int, ...]], None] | None = None,
     *,
     probe: Probe = NO_PROBE,
@@ -286,48 +330,60 @@ def enumerate_extensions(
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    ``probe`` sees every branch, forced argument and dead end, and a state
-    boundary on entry to each recursive search frame, after each worklist
-    assignment and at each dead end, including a dead root; the dead-end
-    boundaries are not quiescent.  ``limit`` stops the search after that
-    many extensions were delivered to ``sink``.
+    The search branches on the first blank argument of the order
+    ``pick(f)``, trying it in and then out; the out-branches still to try
+    wait on an explicit stack.  ``probe`` sees every branch, forced argument
+    and dead end, and a state boundary on entry to each search frame (the
+    root, and each in- and out-branch), after each worklist assignment and
+    at each dead end, including a dead root; the dead-end boundaries are not
+    quiescent.  ``limit`` stops the search after that many extensions were
+    delivered to ``sink``.
     """
+    order = pick(f)
+    n = len(order)
     state = initial_state(f, probe)
     if root_is_dead(state, f):
         probe.state(state, False)
         return 0
     found = 0
-
-    def search() -> None:
-        nonlocal found
-        probe.state(state, True)
-        if not drain(state, f, probe):
-            return  # caller rolls back
-        blanks = state.members(BLANK)
-        if not blanks:
+    # every argument before the cursor in ``order`` is labelled; labels only
+    # leave blank along a path, so the cursor only moves forward on it
+    cursor = 0
+    # (x, cursor) per branch on x whose out-branch is still to try, and
+    # (_OUT_BRANCH, cursor) once it is under way
+    pending: list[tuple[int, int]] = []
+    probe.state(state, True)
+    while True:
+        if drain(state, f, probe):
+            mu = state.mu
+            while cursor < n and mu[order[cursor]] != BLANK:
+                cursor += 1
+            if cursor < n:
+                x = order[cursor]
+                probe.branch(state, x)
+                pending.append((x, cursor))
+                state.checkpoint()
+                state.gamma_add(x)
+                probe.state(state, True)
+                continue
             # every must-out argument keeps a blank attacker, so none is left
             assert is_solution(state)
             found += 1
             if sink is not None:
                 sink(state.members(IN))
             if limit is not None and found >= limit:
-                raise _StopSearch
-            return
-        x = pick(f, blanks)
-        probe.branch(state, x)
-        state.checkpoint()
-        state.gamma_add(x)
-        search()
-        state.rollback()
-        state.checkpoint()
-        if mark_must_out(state, f, x, probe):
-            search()
-        else:
+                return found
+        # backtrack to the deepest branch whose out-branch is still to try
+        while True:
+            if not pending:
+                return found
+            x, cursor = pending.pop()
+            state.rollback()
+            if x == _OUT_BRANCH:
+                continue
+            pending.append((_OUT_BRANCH, cursor))
+            state.checkpoint()
+            if mark_must_out(state, f, x, probe):
+                probe.state(state, True)
+                break
             probe.state(state, False)
-        state.rollback()
-
-    try:
-        search()
-    except _StopSearch:
-        pass
-    return found

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .framework import Framework, attacked_by, attackers_of, initial_partition
-from .strategies import NO_PROBE, PickStrategy, Probe, lowest_index
+from .strategies import NO_PROBE, BranchOrder, Probe, lex_order
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def propagate(state: SetState, f: Framework, probe: Probe = NO_PROBE) -> SetStat
 
 def enumerate_extensions(
     f: Framework,
-    pick: PickStrategy = lowest_index,
+    pick: BranchOrder = lex_order,
     sink: Callable[[tuple[int, ...]], None] | None = None,
     *,
     probe: Probe = NO_PROBE,
@@ -116,36 +116,36 @@ def enumerate_extensions(
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    ``pick`` selects the branching argument among the remaining choice set;
-    ``probe`` sees every branch, forced argument and dead end, and every
-    state the search moves to, all quiescent; ``limit`` stops the search
-    once that many extensions were delivered.
+    The search branches on the first argument of the order ``pick(f)`` that
+    is still in the choice set, trying it in and then out; the out-branches
+    still to try wait on an explicit stack, so the depth of the search is
+    not bounded by Python's recursion limit.  ``probe`` sees every branch,
+    forced argument and dead end, and every state the search moves to, all
+    quiescent; ``limit`` stops the search once that many extensions were
+    delivered.
     """
+    order = pick(f)
     found = 0
-
-    def visit(state: SetState) -> bool:
-        nonlocal found
+    # (state, x) per branch on x whose out-branch is still to try
+    pending: list[tuple[SetState, int]] = []
+    state = start_state(f)
+    while True:
         after = propagate(state, f, probe)
-        if after is None:
-            return False
-        if not after.choice:
-            if not after.tabu:
+        if after is not None and after.choice:
+            x = next(y for y in order if y in after.choice)
+            probe.branch(after, x)
+            pending.append((after, x))
+            state = apply_join(after, f, frozenset((x,)))
+        else:
+            if after is not None and not after.tabu:
                 found += 1
                 if sink is not None:
                     sink(tuple(sorted(after.chosen)))
                 if limit is not None and found >= limit:
-                    return True
-            return False
-        x = pick(f, sorted(after.choice))
-        probe.branch(after, x)
-        include = apply_join(after, f, frozenset((x,)))
-        probe.state(include, True)
-        if visit(include):
-            return True
-        exclude = SetState(after.chosen, after.defeated,
-                           after.choice - {x}, after.tabu | {x})
-        probe.state(exclude, True)
-        return visit(exclude)
-
-    visit(start_state(f))
-    return found
+                    return found
+            if not pending:
+                return found
+            after, x = pending.pop()
+            state = SetState(after.chosen, after.defeated,
+                             after.choice - {x}, after.tabu | {x})
+        probe.state(state, True)

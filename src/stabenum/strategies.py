@@ -1,4 +1,4 @@
-"""Branch-selection strategies and the search probe shared by both engines."""
+"""Branching orders and the search probe shared by both engines."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ from typing import Any, Callable, Sequence
 
 from .framework import Framework
 
-PickStrategy = Callable[[Framework, Sequence[int]], int]
+# a static branching order: a permutation of the arguments, computed once per
+# search; the engines branch on its first argument that is still free
+BranchOrder = Callable[[Framework], Sequence[int]]
 
 
 class Probe:
@@ -72,21 +74,21 @@ class SearchStats(Probe):
         self.propagations += 1
 
 
-def lowest_index(f: Framework, candidates: Sequence[int]) -> int:
-    return min(candidates)
+def lex_order(f: Framework) -> Sequence[int]:
+    return range(f.n)
 
 
-def max_out_degree(f: Framework, candidates: Sequence[int]) -> int:
+def max_out_order(f: Framework) -> Sequence[int]:
     # ties broken towards the lowest index
-    return max(candidates, key=lambda x: (len(f.succ[x]), -x))
+    return sorted(range(f.n), key=lambda x: (-len(f.succ[x]), x))
 
 
-def max_in_degree(f: Framework, candidates: Sequence[int]) -> int:
-    return max(candidates, key=lambda x: (len(f.pred[x]), -x))
+def max_in_order(f: Framework) -> Sequence[int]:
+    return sorted(range(f.n), key=lambda x: (-len(f.pred[x]), x))
 
 
-STRATEGIES: dict[str, PickStrategy] = {
-    "lex": lowest_index,
-    "max-out": max_out_degree,
-    "max-in": max_in_degree,
+STRATEGIES: dict[str, BranchOrder] = {
+    "lex": lex_order,
+    "max-out": max_out_order,
+    "max-in": max_in_order,
 }

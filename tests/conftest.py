@@ -38,6 +38,12 @@ def h1() -> Framework:
     return h1_framework()
 
 
+def pairs_framework(n: int) -> Framework:
+    """``n`` arguments in n/2 disjoint mutually attacking pairs; search depth n/2."""
+    names = [f"a{i}" for i in range(n)]
+    return build(names, [(names[i], names[i ^ 1]) for i in range(n)])
+
+
 def ids(f: Framework, names: str) -> frozenset[int]:
     """Translate a string of single-letter names into an index set."""
     return frozenset(f.index_of[name] for name in names)

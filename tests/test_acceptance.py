@@ -251,7 +251,7 @@ def test_criterion_7_backtracking_integrity():
             )
         )
         state = initial_state(f)
-        frames = [(list(state.mu), list(state.pi), set(state.gamma))]
+        frames = [(list(state.mu), list(state.pi), set(state.gamma), list(state.counts))]
         state.checkpoint()
         depth = 1
         for _ in range(rng.randint(1, 2 * f.n + 2)):
@@ -261,7 +261,7 @@ def test_criterion_7_backtracking_integrity():
             x = rng.choice(blanks)
             move = rng.random()
             if move < 0.2 and depth < 4:
-                frames.append((list(state.mu), list(state.pi), set(state.gamma)))
+                frames.append((list(state.mu), list(state.pi), set(state.gamma), list(state.counts)))
                 state.checkpoint()
                 depth += 1
             if move < 0.6:
@@ -276,7 +276,7 @@ def test_criterion_7_backtracking_integrity():
             expected = frames.pop()
             state.rollback()
             depth -= 1
-            if (list(state.mu), list(state.pi), set(state.gamma)) != expected:
+            if (list(state.mu), list(state.pi), set(state.gamma), list(state.counts)) != expected:
                 diffs += 1
     _report(
         "criterion 7: backtracking integrity",

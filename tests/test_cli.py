@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from stabenum import cli
 from stabenum.cli import RunConfig, execute, main, parse_gen, run
+from stabenum.formats import write_apx
 from stabenum.generators import GenSpec
 
-from conftest import DATA_DIR, h1_framework
+from conftest import DATA_DIR, h1_framework, pairs_framework
 
 H1_APX = (DATA_DIR / "h1.apx").read_text()
 H1_TGF = (DATA_DIR / "h1.tgf").read_text()
@@ -126,6 +128,16 @@ def test_main_end_to_end(tmp_path, capsys):
     path.write_text(H1_APX)
     assert main([str(path)]) == 0
     assert capsys.readouterr().out == "[a,c,d]\n[b,e]\n"
+
+
+def test_main_keeps_the_recursion_limit(tmp_path, capsys):
+    f = pairs_framework(2000)
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(f))
+    limit = sys.getrecursionlimit()
+    assert main([str(path), "--task", "SE-ST"]) == 0
+    assert sys.getrecursionlimit() == limit
+    assert capsys.readouterr().out == "[" + ",".join(f.names[::2]) + "]\n"
 
 
 def test_main_missing_file(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,7 +13,7 @@ from stabenum.invariants import Checker, check_label_state
 from stabenum.oracle import enumerate_bruteforce, is_stable
 from stabenum.strategies import STRATEGIES, SearchStats
 
-from conftest import frameworks, h1_framework
+from conftest import frameworks, h1_framework, pairs_framework
 
 
 @given(frameworks(max_args=8))
@@ -46,20 +47,30 @@ def test_equivalence_without_self_loops(f):
 # either search tree shows up as a failure; both engines explore the same
 # tree, so their branch counts agree
 @pytest.mark.parametrize(
-    "f, set_counters, label_counters",
+    "f, order, set_counters, label_counters",
     [
-        pytest.param(h1_framework(), (2, 2, 4), (2, 2, 6), id="h1"),
-        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), (2, 5, 14), (2, 5, 21),
+        pytest.param(h1_framework(), "lex", (2, 2, 4), (2, 2, 6), id="h1"),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "lex", (2, 5, 14), (2, 5, 21),
                      id="n30_seed34"),
-        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), (1, 22, 26), (1, 22, 83),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "lex", (1, 22, 26), (1, 22, 83),
                      id="n30_seed2"),
+        pytest.param(h1_framework(), "max-out", (2, 1, 4), (2, 1, 4), id="h1_max_out"),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "max-out", (2, 10, 31),
+                     (2, 10, 51), id="n30_seed34_max_out"),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "max-out", (1, 8, 11),
+                     (1, 8, 33), id="n30_seed2_max_out"),
+        pytest.param(h1_framework(), "max-in", (2, 2, 4), (2, 2, 6), id="h1_max_in"),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "max-in", (2, 15, 39),
+                     (2, 15, 71), id="n30_seed34_max_in"),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "max-in", (1, 17, 26),
+                     (1, 17, 77), id="n30_seed2_max_in"),
     ],
 )
-def test_search_counters_pinned(f, set_counters, label_counters):
+def test_search_counters_pinned(f, order, set_counters, label_counters):
     assert label_counters[1] == set_counters[1]
     for engine, expected in ((set_enum, set_counters), (label_enum, label_counters)):
         stats = SearchStats()
-        count = engine.enumerate_extensions(f, probe=stats)
+        count = engine.enumerate_extensions(f, STRATEGIES[order], probe=stats)
         assert (count, stats.branches, stats.propagations) == expected
 
 
@@ -74,7 +85,7 @@ def _branch_parity(f, order):
     return runs
 
 
-@given(frameworks(max_args=8), st.sampled_from(("lex", "max-out")))
+@given(frameworks(max_args=8), st.sampled_from(("lex", "max-out", "max-in")))
 def test_branch_parity(f, order):
     set_run, label_run = _branch_parity(f, order)
     assert label_run == set_run
@@ -86,8 +97,27 @@ def test_branch_parity_sweep():
         (12, 20, 30), (0.1, 0.2, 0.3), (False, True), range(40)
     ):
         f = random_af(GenSpec(n=n, p=p, allow_self_loops=allow, seed=seed))
-        for order in ("lex", "max-out"):
+        for order in ("lex", "max-out", "max-in"):
             set_run, label_run = _branch_parity(f, order)
             if label_run != set_run:
                 mismatches.append((n, p, allow, seed, order, set_run[1], label_run[1]))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum])
+def test_search_depth_is_not_bounded_by_the_recursion_limit(engine):
+    # 300 pairs: every extension sits 300 branches deep
+    f = pairs_framework(600)
+    found: list = []
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        count = engine.enumerate_extensions(f, sink=found.append, limit=3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert count == 3
+    assert found == [
+        tuple(range(0, 600, 2)),
+        (*range(0, 598, 2), 599),
+        (*range(0, 596, 2), 597, 598),
+    ]

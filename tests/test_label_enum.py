@@ -11,6 +11,7 @@ from stabenum.label_enum import (
     BLANK,
     IN,
     MUST_OUT,
+    LabelState,
     Tracer,
     UnbalancedRollback,
     assign_in,
@@ -26,7 +27,7 @@ from stabenum.oracle import enumerate_bruteforce
 from stabenum.strategies import STRATEGIES, FanOut, Probe, SearchStats
 from stabenum.generators import GenSpec, random_af
 
-from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pi_table
+from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pairs_framework, pi_table
 
 ALL_BLANK = dict.fromkeys("abcdef", "blank")
 
@@ -368,7 +369,7 @@ def test_rollback_is_identity_on_random_runs():
     for trial in range(30):
         f = random_af(GenSpec(n=rng.randint(1, 8), p=0.3, allow_self_loops=bool(trial % 2), seed=trial))
         state = initial_state(f)
-        snapshot = (list(state.mu), list(state.pi), set(state.gamma))
+        snapshot = (list(state.mu), list(state.pi), set(state.gamma), list(state.counts))
         state.checkpoint()
         for _ in range(rng.randint(1, 2 * f.n + 1)):
             blanks = state.members(BLANK)
@@ -382,7 +383,7 @@ def test_rollback_is_identity_on_random_runs():
                 if not mark_must_out(state, f, x):
                     break
         state.rollback()
-        assert (list(state.mu), list(state.pi), set(state.gamma)) == snapshot
+        assert (list(state.mu), list(state.pi), set(state.gamma), list(state.counts)) == snapshot
 
 
 def test_invariant_checker_accepts_boundary_states(h1):
@@ -420,3 +421,46 @@ def test_invariant_checker_rejects_stale_counter(h1):
     state.pi[0] = 0  # pretend a's attackers are gone
     with pytest.raises(InvariantViolation):
         check_label_state(h1, state)
+
+
+def test_invariant_checker_rejects_stale_label_counts(h1):
+    from stabenum.invariants import InvariantViolation
+
+    state = initial_state(h1)
+    state.counts[BLANK] += 1
+    with pytest.raises(InvariantViolation, match="label counts"):
+        check_label_state(h1, state)
+
+
+def test_invariant_checker_rejects_queued_argument_off_heap():
+    from stabenum.invariants import InvariantViolation
+
+    f = build(["x", "y"], [])
+    state = initial_state(f)
+    assert state.gamma == {0, 1}
+    state.heap.remove(1)
+    with pytest.raises(InvariantViolation, match=r"missing from the heap: \['y'\]"):
+        check_label_state(f, state)
+
+
+def test_deep_search_at_the_default_recursion_limit():
+    found = []
+    assert enumerate_extensions(pairs_framework(8000), sink=found.append, limit=1) == 1
+    assert found == [tuple(range(0, 8000, 2))]
+
+
+def test_members_scans_once_per_extension(monkeypatch):
+    # the branching cursor and the label counts replace a scan per frame
+    calls = []
+    members = LabelState.members
+
+    def counted(state, label):
+        calls.append(label)
+        return members(state, label)
+
+    monkeypatch.setattr(LabelState, "members", counted)
+    stats = SearchStats()
+    found = []
+    assert enumerate_extensions(pairs_framework(4000), sink=found.append, probe=stats, limit=1) == 1
+    assert stats.branches == 2000
+    assert calls == [IN]
