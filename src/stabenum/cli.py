@@ -128,7 +128,7 @@ def run(config: RunConfig, text: str, source: str = "<input>") -> tuple[int, str
         print(f"{source}:{line}: {exc.message}", file=sys.stderr)
         return 1, ""
     for diag in diagnostics:
-        print(f"{source}:{diag.line}: {diag.severity}: {diag.message}", file=sys.stderr)
+        print(f"{source}:{diag.line}: warning: {diag.message}", file=sys.stderr)
     return execute(config, f)
 
 

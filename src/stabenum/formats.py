@@ -9,8 +9,10 @@ Supported formats:
   by a label that is ignored) up to a lone ``#`` line, then ``ID ID``
   edge lines.
 
-Both accept LF or CRLF and ignore blank lines.  Parsing errors carry a
-1-based line number; duplicate declarations only produce warnings.
+Both accept LF or CRLF and ignore blank lines.  The parsers only lex:
+:func:`~stabenum.framework.build` drops repeated declarations, which become
+warnings, and rejects attacks on undeclared arguments.  Errors and warnings
+carry a 1-based line number.
 """
 
 from __future__ import annotations
@@ -24,9 +26,10 @@ from .framework import Framework, UnknownArgument, build
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
+    """A warning about the input; ``line`` is 1-based."""
+
     line: int
     message: str
-    severity: str  # "error" | "warning"
 
 
 class ParseError(ValueError):
@@ -48,26 +51,35 @@ _APX_ATT = re.compile(rf"att\(({_NAME}),({_NAME})\)\.")
 _TOKEN = re.compile(_NAME)
 
 
-def _warn(diagnostics: list[ParseDiagnostic] | None, line: int, message: str) -> None:
-    if diagnostics is not None:
-        diagnostics.append(ParseDiagnostic(line, message, "warning"))
+def _build(
+    names: list[str],
+    name_lines: list[int],
+    attacks: list[tuple[str, str]],
+    attack_lines: list[int],
+    diagnostics: list[ParseDiagnostic] | None,
+) -> Framework:
+    """Call :func:`build` and map the positions it reports to line numbers."""
 
+    def warn(i: int, message: str) -> None:
+        if diagnostics is not None:
+            diagnostics.append(ParseDiagnostic(name_lines[i], message))
 
-def _fail(diagnostics: list[ParseDiagnostic] | None, error: ParseError) -> ParseError:
-    if diagnostics is not None:
-        diagnostics.append(ParseDiagnostic(error.line, error.message, "error"))
-    return error
+    try:
+        return build(names, attacks, warn)
+    except UnknownArgument as exc:
+        exc.line = attack_lines[exc.index]
+        raise
 
 
 def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
     """Parse apx facts into a framework.
 
-    Attacks may precede the declarations they refer to; an endpoint that is
-    never declared raises :class:`UnknownArgument` with its line number.
+    Attacks may precede the declarations they refer to.
     """
     names: list[str] = []
-    declared: set[str] = set()
-    attacks: list[tuple[str, str, int]] = []
+    name_lines: list[int] = []
+    attacks: list[tuple[str, str]] = []
+    attack_lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("%", 1)[0]
         pos = 0
@@ -78,38 +90,26 @@ def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
                 continue
             m = _APX_ARG.match(line, pos)
             if m:
-                name = m.group(1)
-                if name in declared:
-                    _warn(diagnostics, lineno, f"duplicate argument {name!r}")
-                else:
-                    declared.add(name)
-                    names.append(name)
+                names.append(m.group(1))
+                name_lines.append(lineno)
                 pos = m.end()
                 continue
             m = _APX_ATT.match(line, pos)
             if m:
-                attacks.append((m.group(1), m.group(2), lineno))
+                attacks.append(m.groups())
+                attack_lines.append(lineno)
                 pos = m.end()
                 continue
-            raise _fail(diagnostics, ParseError(f"malformed fact near {line[pos:pos + 20]!r}", lineno))
-    for a, b, lineno in attacks:
-        for endpoint in (a, b):
-            if endpoint not in declared:
-                if diagnostics is not None:
-                    diagnostics.append(
-                        ParseDiagnostic(lineno, f"undeclared argument {endpoint!r}", "error")
-                    )
-                raise UnknownArgument(
-                    f"attack ({a},{b}) uses undeclared argument {endpoint!r}", line=lineno
-                )
-    return build(names, [(a, b) for a, b, _ in attacks])
+            raise ParseError(f"malformed fact near {line[pos:pos + 20]!r}", lineno)
+    return _build(names, name_lines, attacks, attack_lines, diagnostics)
 
 
 def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
     """Parse trivial graph format into a framework."""
     names: list[str] = []
-    declared: set[str] = set()
+    name_lines: list[int] = []
     attacks: list[tuple[str, str]] = []
+    attack_lines: list[int] = []
     lines = text.splitlines()
     in_edges = False
     for lineno, raw in enumerate(lines, 1):
@@ -118,38 +118,28 @@ def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
             continue
         if line == "#":
             if in_edges:
-                raise _fail(diagnostics, ParseError("second '#' separator", lineno))
+                raise ParseError("second '#' separator", lineno)
             in_edges = True
             continue
         tokens = line.split()
         if not in_edges:
             node = tokens[0]
             if not _TOKEN.fullmatch(node):
-                raise _fail(diagnostics, ParseError(f"invalid node id {node!r}", lineno))
-            if node in declared:
-                _warn(diagnostics, lineno, f"duplicate node {node!r}")
-            else:
-                declared.add(node)
-                names.append(node)
+                raise ParseError(f"invalid node id {node!r}", lineno)
+            names.append(node)
+            name_lines.append(lineno)
             # remaining tokens form a display label and are ignored
         else:
             if len(tokens) != 2:
-                raise _fail(diagnostics, ParseError("edge lines take exactly two ids", lineno))
+                raise ParseError("edge lines take exactly two ids", lineno)
             for endpoint in tokens:
                 if not _TOKEN.fullmatch(endpoint):
-                    raise _fail(diagnostics, ParseError(f"invalid node id {endpoint!r}", lineno))
-                if endpoint not in declared:
-                    if diagnostics is not None:
-                        diagnostics.append(
-                            ParseDiagnostic(lineno, f"undeclared node {endpoint!r}", "error")
-                        )
-                    raise UnknownArgument(
-                        f"edge uses undeclared node {endpoint!r}", line=lineno
-                    )
+                    raise ParseError(f"invalid node id {endpoint!r}", lineno)
             attacks.append((tokens[0], tokens[1]))
+            attack_lines.append(lineno)
     if not in_edges:
-        raise _fail(diagnostics, MissingSeparator("missing '#' separator", len(lines) + 1))
-    return build(names, attacks)
+        raise MissingSeparator("missing '#' separator", len(lines) + 1)
+    return _build(names, name_lines, attacks, attack_lines, diagnostics)
 
 
 def write_apx(f: Framework) -> str:

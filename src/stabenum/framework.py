@@ -7,12 +7,17 @@ from typing import Callable, Iterable
 
 
 class UnknownArgument(ValueError):
-    """An attack endpoint that was never declared."""
+    """An attack endpoint that was never declared.
 
-    def __init__(self, message: str, line: int | None = None) -> None:
+    ``index`` is the position of the attack among those given to
+    :func:`build`; a parser sets ``line`` to the attack's 1-based line.
+    """
+
+    def __init__(self, message: str, index: int) -> None:
         super().__init__(message)
         self.message = message
-        self.line = line
+        self.index = index
+        self.line: int | None = None
 
 
 @dataclass(frozen=True)
@@ -41,31 +46,32 @@ class Framework:
 def build(
     names: Iterable[str],
     attacks: Iterable[tuple[str, str]],
-    warn: Callable[[str], None] | None = None,
+    warn: Callable[[int, str], None] | None = None,
 ) -> Framework:
     """Assemble a :class:`Framework` from declared names and name pairs.
 
-    Repeated declarations and repeated attacks are dropped (``warn`` is told
-    about duplicate names).  An attack endpoint missing from ``names`` raises
-    :class:`UnknownArgument`.
+    Repeated declarations and repeated attacks are dropped; ``warn(i,
+    message)`` is told about each repeated name, ``i`` being its position in
+    ``names``.  The first attack with an endpoint missing from ``names``
+    raises :class:`UnknownArgument`.
     """
     ordered: list[str] = []
     index: dict[str, int] = {}
-    for name in names:
+    for i, name in enumerate(names):
         if name in index:
             if warn is not None:
-                warn(f"duplicate argument {name!r}")
+                warn(i, f"duplicate argument {name!r}")
             continue
         index[name] = len(ordered)
         ordered.append(name)
 
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for a, b in attacks:
+    for i, (a, b) in enumerate(attacks):
         for endpoint in (a, b):
             if endpoint not in index:
                 raise UnknownArgument(
-                    f"attack ({a},{b}) uses undeclared argument {endpoint!r}"
+                    f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
                 )
         pair = (index[a], index[b])
         if pair in seen:

@@ -33,28 +33,36 @@ class Checker(Probe):
             self.check(self.f, state)
 
 
+def _check_partition(
+    f: Framework,
+    chosen: frozenset[int],
+    defeated: frozenset[int],
+    choice: frozenset[int],
+    tabu: frozenset[int],
+) -> None:
+    """Check that the four sets of a search state partition the arguments.
+
+    ``defeated`` is what ``chosen`` attacks, ``chosen`` is conflict-free, no
+    argument in ``choice`` is settled by ``chosen`` and ``tabu`` is the rest.
+    """
+    chosen_plus = attacked_by(f, chosen)
+    if defeated != chosen_plus:
+        raise InvariantViolation(
+            f"defeated {sorted(defeated)} != targets of chosen {sorted(chosen_plus)}"
+        )
+    if chosen & defeated:
+        raise InvariantViolation(f"chosen and defeated overlap: {sorted(chosen & defeated)}")
+    blocked = chosen | chosen_plus | attackers_of(f, chosen)
+    if choice & blocked:
+        raise InvariantViolation(f"choice contains settled arguments: {sorted(choice & blocked)}")
+    expected_tabu = frozenset(range(f.n)) - (chosen | chosen_plus | choice)
+    if tabu != expected_tabu:
+        raise InvariantViolation(f"tabu {sorted(tabu)} != complement {sorted(expected_tabu)}")
+
+
 def check_set_state(f: Framework, state: "SetState") -> None:
     """Validate the four-set search state of the set-based engine."""
-    universe = frozenset(range(f.n))
-    chosen_plus = attacked_by(f, state.chosen)
-    if state.defeated != chosen_plus:
-        raise InvariantViolation(
-            f"defeated {sorted(state.defeated)} != targets of chosen {sorted(chosen_plus)}"
-        )
-    if state.chosen & state.defeated:
-        raise InvariantViolation(
-            f"chosen and defeated overlap: {sorted(state.chosen & state.defeated)}"
-        )
-    blocked = state.chosen | chosen_plus | attackers_of(f, state.chosen)
-    if state.choice & blocked:
-        raise InvariantViolation(
-            f"choice contains settled arguments: {sorted(state.choice & blocked)}"
-        )
-    expected_tabu = universe - (state.chosen | chosen_plus | state.choice)
-    if state.tabu != expected_tabu:
-        raise InvariantViolation(
-            f"tabu {sorted(state.tabu)} != complement {sorted(expected_tabu)}"
-        )
+    _check_partition(f, state.chosen, state.defeated, state.choice, state.tabu)
 
 
 def check_label_state(f: Framework, state: "LabelState") -> None:
@@ -69,24 +77,12 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     """
     from .label_enum import BLANK, IN, MUST_OUT, OUT
 
-    universe = frozenset(range(f.n))
+    universe = range(f.n)
     ins = frozenset(x for x in universe if state.mu[x] == IN)
     outs = frozenset(x for x in universe if state.mu[x] == OUT)
     blanks = frozenset(x for x in universe if state.mu[x] == BLANK)
     must_outs = frozenset(x for x in universe if state.mu[x] == MUST_OUT)
-
-    chosen_plus = attacked_by(f, ins)
-    if outs != chosen_plus:
-        raise InvariantViolation(
-            f"out labels {sorted(outs)} != targets of in labels {sorted(chosen_plus)}"
-        )
-    if ins & chosen_plus:
-        raise InvariantViolation(f"in arguments attack each other: {sorted(ins & chosen_plus)}")
-    blocked = ins | chosen_plus | attackers_of(f, ins)
-    if blanks & blocked:
-        raise InvariantViolation(f"blank labels on settled arguments: {sorted(blanks & blocked)}")
-    if must_outs != universe - (ins | chosen_plus | blanks):
-        raise InvariantViolation("must-out labels are not the complement of in/out/blank")
+    _check_partition(f, ins, outs, blanks, must_outs)
 
     for x in blanks | must_outs:
         fresh = sum(1 for y in f.pred[x] if state.mu[y] == BLANK)

@@ -55,9 +55,6 @@ BLANK, IN, OUT, MUST_OUT = Label
 # trail record kinds
 _MU, _PI, _G_ADD, _G_DEL = range(4)
 
-# marks a branch whose out-branch is under way on the search stack
-_OUT_BRANCH = -1
-
 
 class UnbalancedRollback(RuntimeError):
     """rollback() was called without a matching checkpoint()."""
@@ -336,9 +333,11 @@ def enumerate_extensions(
     and dead end, and a state boundary on entry to each search frame (the
     root, and each in- and out-branch), after each worklist assignment and
     at each dead end, including a dead root; the dead-end boundaries are not
-    quiescent.  ``limit`` stops the search after that many extensions were
-    delivered to ``sink``.
+    quiescent.  ``limit``, at least 1, stops the search after that many
+    extensions were delivered to ``sink``.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     order = pick(f)
     n = len(order)
     state = initial_state(f, probe)
@@ -349,8 +348,9 @@ def enumerate_extensions(
     # every argument before the cursor in ``order`` is labelled; labels only
     # leave blank along a path, so the cursor only moves forward on it
     cursor = 0
-    # (x, cursor) per branch on x whose out-branch is still to try, and
-    # (_OUT_BRANCH, cursor) once it is under way
+    # (x, cursor) per branch on x whose out-branch is still to try; its
+    # checkpoint, opened before the in-branch, also undoes the out-branches
+    # of every deeper branch
     pending: list[tuple[int, int]] = []
     probe.state(state, True)
     while True:
@@ -379,10 +379,6 @@ def enumerate_extensions(
                 return found
             x, cursor = pending.pop()
             state.rollback()
-            if x == _OUT_BRANCH:
-                continue
-            pending.append((_OUT_BRANCH, cursor))
-            state.checkpoint()
             if mark_must_out(state, f, x, probe):
                 probe.state(state, True)
                 break

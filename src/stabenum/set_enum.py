@@ -121,9 +121,11 @@ def enumerate_extensions(
     still to try wait on an explicit stack, so the depth of the search is
     not bounded by Python's recursion limit.  ``probe`` sees every branch,
     forced argument and dead end, and every state the search moves to, all
-    quiescent; ``limit`` stops the search once that many extensions were
-    delivered.
+    quiescent; ``limit``, at least 1, stops the search once that many
+    extensions were delivered.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
     order = pick(f)
     found = 0
     # (state, x) per branch on x whose out-branch is still to try

@@ -121,3 +121,12 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit(engine):
         (*range(0, 598, 2), 599),
         (*range(0, 596, 2), 597, 598),
     ]
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("engine", [set_enum, label_enum])
+def test_limit_below_one_is_rejected(engine, limit):
+    found: list = []
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        engine.enumerate_extensions(h1_framework(), sink=found.append, limit=limit)
+    assert found == []

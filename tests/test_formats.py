@@ -7,6 +7,7 @@ from hypothesis import given
 
 from stabenum.formats import (
     MissingSeparator,
+    ParseDiagnostic,
     ParseError,
     format_extension,
     parse_apx,
@@ -68,8 +69,21 @@ def test_parse_apx_duplicate_argument_warns():
     diagnostics = []
     f = parse_apx("arg(a).\narg(a).\n", diagnostics)
     assert f.names == ("a",)
-    assert [d.severity for d in diagnostics] == ["warning"]
-    assert diagnostics[0].line == 2
+    assert diagnostics == [ParseDiagnostic(2, "duplicate argument 'a'")]
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (parse_apx, "arg(a).\natt(a,b).\natt(c,a).\n", 2),
+        (parse_apx, "att(c,a).\narg(a).\natt(a,b).\n", 1),
+        (parse_tgf, "1\n#\n1 2\n3 1\n", 3),
+    ],
+)
+def test_first_undeclared_attack_gives_the_line(parse, text, line):
+    with pytest.raises(UnknownArgument) as excinfo:
+        parse(text)
+    assert excinfo.value.line == line
 
 
 def test_parse_apx_empty_input():
@@ -110,6 +124,20 @@ def test_parse_tgf_unknown_endpoint():
     with pytest.raises(UnknownArgument) as excinfo:
         parse_tgf("1\n#\n1 2\n")
     assert excinfo.value.line == 3
+
+
+def test_parse_tgf_duplicate_node_warns():
+    diagnostics = []
+    f = parse_tgf("1\n2\n1 again\n#\n1 2\n", diagnostics)
+    assert f.names == ("1", "2")
+    assert diagnostics == [ParseDiagnostic(3, "duplicate argument '1'")]
+
+
+def test_parse_tgf_syntax_error_wins_over_earlier_undeclared_node():
+    # names are resolved only after the whole text was lexed
+    with pytest.raises(ParseError) as excinfo:
+        parse_tgf("1\n#\n1 2\n1 2 3\n")
+    assert excinfo.value.line == 4
 
 
 def test_write_extensions_h1(h1):

@@ -37,15 +37,23 @@ def test_adjacency_is_sorted_and_deduplicated():
 
 
 def test_duplicate_names_warn_and_collapse():
-    warnings: list[str] = []
-    f = build(["a", "b", "a"], [("a", "b")], warn=warnings.append)
+    warnings: list[tuple[int, str]] = []
+    f = build(["a", "b", "a"], [("a", "b")], warn=lambda i, message: warnings.append((i, message)))
     assert f.names == ("a", "b")
-    assert warnings == ["duplicate argument 'a'"]
+    assert warnings == [(2, "duplicate argument 'a'")]
 
 
 def test_unknown_attack_endpoint():
     with pytest.raises(UnknownArgument):
         build(["a"], [("a", "b")])
+
+
+def test_unknown_attack_endpoint_reports_the_first_attack():
+    with pytest.raises(UnknownArgument) as excinfo:
+        build(["a", "b"], [("a", "b"), ("c", "a"), ("a", "d")])
+    assert excinfo.value.index == 1
+    assert excinfo.value.message == "attack (c,a) uses undeclared argument 'c'"
+    assert excinfo.value.line is None
 
 
 def test_initial_partition_h1(h1):

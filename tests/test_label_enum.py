@@ -464,3 +464,27 @@ def test_members_scans_once_per_extension(monkeypatch):
     assert enumerate_extensions(pairs_framework(4000), sink=found.append, probe=stats, limit=1) == 1
     assert stats.branches == 2000
     assert calls == [IN]
+
+
+def test_one_checkpoint_and_one_rollback_per_branch(monkeypatch):
+    # an out-branch is undone by the rollback of the next pending branch
+    calls = []
+    checkpoint, rollback = LabelState.checkpoint, LabelState.rollback
+
+    def counted_checkpoint(state):
+        calls.append("checkpoint")
+        checkpoint(state)
+
+    def counted_rollback(state):
+        calls.append("rollback")
+        rollback(state)
+
+    monkeypatch.setattr(LabelState, "checkpoint", counted_checkpoint)
+    monkeypatch.setattr(LabelState, "rollback", counted_rollback)
+    for seed in range(10):
+        f = random_af(GenSpec(n=20, p=0.15, allow_self_loops=seed % 2 == 1, seed=seed))
+        calls.clear()
+        stats = SearchStats()
+        enumerate_extensions(f, probe=stats)
+        assert calls.count("checkpoint") == stats.branches
+        assert calls.count("rollback") == stats.branches
