@@ -1,8 +1,10 @@
 """Command-line frontend: parse, enumerate, verify, trace, generate.
 
 Exit codes: 0 on success, 1 for input or configuration errors (unreadable
-files, parse errors, size guards, bad flags), 2 for internal violations
-(invariant check failures, verification mismatches).
+files, parse errors, size guards, bad flags) and for a stdout closed by its
+reader, 2 for internal violations (invariant check failures, verification
+mismatches).  Extensions are written as they are found, so a run that exits
+with 1 or 2 during the search may leave part of its output on stdout.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 from . import label_enum, set_enum
 from .formats import ParseDiagnostic, ParseError, parse_apx, parse_tgf, write_extensions
@@ -37,6 +40,10 @@ class RunConfig:
     trace: str | None = None
     verify: bool = False
 
+    def __post_init__(self) -> None:
+        if self.trace is not None and self.engine != "label":
+            raise ValueError("--trace requires the label engine")
+
 
 def detect_format(source: str) -> str | None:
     if source.endswith(".apx"):
@@ -46,87 +53,96 @@ def detect_format(source: str) -> str | None:
     return None
 
 
-def _enumerate(
-    config: RunConfig, f: Framework, trace: IO[str] | None
-) -> tuple[int, list[tuple[int, ...]]]:
-    """Run the configured engine; returns (count, collected extensions).
+class _NotStable(Exception):
+    """``--verify`` found a reported set that is not stable."""
 
-    ``trace`` receives one JSON line per search state of the label engine.
+
+def execute(config: RunConfig, f: Framework) -> int:
+    """Enumerate on an already-built framework; returns the exit code.
+
+    The engine's sink verifies (with ``--verify``) and writes each extension
+    to ``sys.stdout`` as it is found.
     """
     limit = 1 if config.task == "SE-ST" else None
-    if config.engine == "bruteforce":
-        extensions = enumerate_bruteforce(f)
-        if limit is not None:
-            extensions = extensions[:limit]
-        return len(extensions), extensions
-    engine = set_enum if config.engine == "set" else label_enum
-    probe: Probe = NO_PROBE
-    if config.check_invariants:
-        probe = Checker(f, check_set_state if engine is set_enum else check_label_state)
-    if trace is not None:
-        tracer = label_enum.Tracer(
-            f, lambda event: trace.write(json.dumps(event.as_dict()) + "\n")
-        )
-        probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
-    extensions: list[tuple[int, ...]] = []
-    count = engine.enumerate_extensions(
-        f, STRATEGIES[config.order], extensions.append, probe=probe, limit=limit
-    )
-    return count, extensions
+    verify, write = config.verify, config.task != "CE-ST"
 
+    def report(ext: tuple[int, ...]) -> None:
+        if verify and not is_stable(f, ext):
+            raise _NotStable([f.names[x] for x in ext])
+        if write:
+            write_extensions([ext], f.names, sys.stdout)
 
-def execute(config: RunConfig, f: Framework) -> tuple[int, str]:
-    """Enumerate on an already-built framework; returns (exit code, stdout)."""
     try:
         with (
             open(config.trace, "w", encoding="utf-8")
             if config.trace is not None
             else contextlib.nullcontext()
         ) as trace:
-            count, extensions = _enumerate(config, f, trace)
+            if config.engine == "bruteforce":
+                extensions = enumerate_bruteforce(f)[:limit]
+                for ext in extensions:
+                    report(ext)
+                count = len(extensions)
+            else:
+                engine = set_enum if config.engine == "set" else label_enum
+                probe: Probe = NO_PROBE
+                if config.check_invariants:
+                    check = check_set_state if engine is set_enum else check_label_state
+                    probe = Checker(f, check)
+                if trace is not None:
+                    tracer = label_enum.Tracer(
+                        f, lambda event: trace.write(json.dumps(event.as_dict()) + "\n")
+                    )
+                    probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
+                sink = report if verify or write else None
+                count = engine.enumerate_extensions(
+                    f, STRATEGIES[config.order], sink, probe=probe, limit=limit
+                )
+        if config.task == "CE-ST":
+            sys.stdout.write(f"COUNT {count}\n")
+        elif config.task == "SE-ST" and count == 0:
+            sys.stdout.write("NO\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone (``| head -1``): point the descriptor at the
+        # null device, or flushing what is still buffered at exit raises again
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            fd = sys.stdout.fileno()  # raises for a stdout without a descriptor
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 1
     except OSError as exc:
         print(f"stabenum: {exc}", file=sys.stderr)
-        return 1, ""
+        return 1
     except TooLarge as exc:
         print(f"stabenum: {config.engine} engine: {exc}", file=sys.stderr)
-        return 1, ""
+        return 1
     except InvariantViolation as exc:
         print(f"stabenum: invariant violation: {exc}", file=sys.stderr)
-        return 2, ""
-    if config.verify:
-        for ext in extensions:
-            if not is_stable(f, ext):
-                print(
-                    f"stabenum: verification failed: reported set "
-                    f"{[f.names[x] for x in ext]} is not stable",
-                    file=sys.stderr,
-                )
-                return 2, ""
-    if config.task == "EE-ST":
-        output = write_extensions(extensions, f.names)
-    elif config.task == "SE-ST":
-        output = write_extensions(extensions[:1], f.names, some=True)
-    else:  # CE-ST
-        output = write_extensions([], f.names, count=count)
-    return 0, output
+        return 2
+    except _NotStable as exc:
+        print(f"stabenum: verification failed: reported set {exc} is not stable", file=sys.stderr)
+        return 2
+    return 0
 
 
-def run(config: RunConfig, text: str, source: str = "<input>") -> tuple[int, str]:
-    """Parse ``text`` and enumerate; returns (exit code, stdout)."""
+def run(config: RunConfig, text: str, source: str = "<input>") -> int:
+    """Parse ``text`` and enumerate; returns the exit code."""
     fmt = config.format or detect_format(source)
     if fmt is None:
         print(
             f"stabenum: cannot detect format of {source!r}; pass --format",
             file=sys.stderr,
         )
-        return 1, ""
+        return 1
     diagnostics: list[ParseDiagnostic] = []
     try:
         f = parse_apx(text, diagnostics) if fmt == "apx" else parse_tgf(text, diagnostics)
     except (ParseError, UnknownArgument) as exc:
         line = "?" if exc.line is None else exc.line
         print(f"{source}:{line}: {exc.message}", file=sys.stderr)
-        return 1, ""
+        return 1
     for diag in diagnostics:
         print(f"{source}:{diag.line}: warning: {diag.message}", file=sys.stderr)
     return execute(config, f)
@@ -183,17 +199,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    config = RunConfig(
-        task=args.task,
-        engine=args.engine,
-        format=args.format,
-        order=args.order,
-        check_invariants=args.check_invariants,
-        trace=args.trace,
-        verify=args.verify,
-    )
-    if config.trace is not None and config.engine != "label":
-        parser.error("--trace requires the label engine")
+    try:
+        config = RunConfig(
+            task=args.task,
+            engine=args.engine,
+            format=args.format,
+            order=args.order,
+            check_invariants=args.check_invariants,
+            trace=args.trace,
+            verify=args.verify,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if args.gen is not None:
         if args.input is not None:
@@ -202,22 +219,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             spec = parse_gen(args.gen)
         except ValueError as exc:
             parser.error(str(exc))
-        code, output = execute(config, random_af(spec))
-    else:
-        if args.input is None:
-            parser.error("an input file (or --gen) is required")
-        try:
-            with open(args.input, "r", encoding="utf-8-sig") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"stabenum: {exc}", file=sys.stderr)
-            return 1
-        except UnicodeDecodeError as exc:
-            print(f"stabenum: {args.input}: not UTF-8 text: {exc}", file=sys.stderr)
-            return 1
-        code, output = run(config, text, source=args.input)
-    sys.stdout.write(output)
-    return code
+        return execute(config, random_af(spec))
+    if args.input is None:
+        parser.error("an input file (or --gen) is required")
+    try:
+        with open(args.input, "r", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as exc:
+        print(f"stabenum: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        print(f"stabenum: {args.input}: not UTF-8 text: {exc}", file=sys.stderr)
+        return 1
+    return run(config, text, source=args.input)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -161,25 +161,9 @@ def format_extension(members: Iterable[int], names: Sequence[str]) -> str:
 
 
 def write_extensions(
-    extensions: Iterable[Iterable[int]],
-    names: Sequence[str],
-    sink: IO[str] | None = None,
-    *,
-    count: int | None = None,
-    some: bool = False,
+    extensions: Iterable[Iterable[int]], names: Sequence[str], sink: IO[str]
 ) -> str:
-    """Serialize extensions, one per line.
-
-    ``count`` appends a final ``COUNT k`` summary line; ``some`` emits
-    ``NO`` instead of nothing when a single extension was requested but
-    none exists.
-    """
-    lines = [format_extension(ext, names) for ext in extensions]
-    if some and not lines:
-        lines = ["NO"]
-    if count is not None:
-        lines.append(f"COUNT {count}")
-    text = "".join(line + "\n" for line in lines)
-    if sink is not None:
-        sink.write(text)
+    """Write extensions to ``sink``, one per line; returns the text written."""
+    text = "".join([format_extension(ext, names) + "\n" for ext in extensions])
+    sink.write(text)
     return text

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,85 +21,150 @@ H1_TGF = (DATA_DIR / "h1.tgf").read_text()
 THREE_CYCLE = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
 
 
-def test_run_enumerate_all_label():
-    code, output = run(RunConfig(engine="label"), H1_APX, source="h1.apx")
+def test_run_enumerate_all_label(capsys):
+    code = run(RunConfig(engine="label"), H1_APX, source="h1.apx")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n[b,e]\n"
 
 
 @pytest.mark.parametrize("engine", ["bruteforce", "set", "label"])
-def test_all_engines_agree_on_fixture(engine):
-    code, output = run(RunConfig(engine=engine), H1_APX, source="h1.apx")
+def test_all_engines_agree_on_fixture(engine, capsys):
+    code = run(RunConfig(engine=engine), H1_APX, source="h1.apx")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n[b,e]\n"
 
 
-def test_run_tgf_format():
-    code, output = run(RunConfig(), H1_TGF, source="h1.tgf")
+def test_run_tgf_format(capsys):
+    code = run(RunConfig(), H1_TGF, source="h1.tgf")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n[b,e]\n"
 
 
-def test_format_flag_overrides_extension():
-    code, output = run(RunConfig(format="apx"), H1_APX, source="weird.txt")
+def test_format_flag_overrides_extension(capsys):
+    code = run(RunConfig(format="apx"), H1_APX, source="weird.txt")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n[b,e]\n"
 
 
 def test_unknown_format_is_config_error(capsys):
-    code, _ = run(RunConfig(), H1_APX, source="weird.txt")
+    code = run(RunConfig(), H1_APX, source="weird.txt")
     assert code == 1
     assert "format" in capsys.readouterr().err
 
 
-def test_count_task_on_empty_framework():
-    code, output = run(RunConfig(task="CE-ST", format="apx"), "")
+def test_count_task_on_empty_framework(capsys):
+    code = run(RunConfig(task="CE-ST", format="apx"), "")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "COUNT 1\n"
 
 
-def test_single_task_without_extension_prints_no():
-    code, output = run(RunConfig(task="SE-ST", format="apx"), THREE_CYCLE)
+def test_count_task_without_extension_prints_zero(capsys):
+    code = run(RunConfig(task="CE-ST", format="apx"), THREE_CYCLE)
+    output = capsys.readouterr().out
+    assert code == 0
+    assert output == "COUNT 0\n"
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_count_task_passes_a_sink_only_to_verify(monkeypatch, capsys, verify):
+    sinks = []
+    search = cli.label_enum.enumerate_extensions
+
+    def spy(f, pick, sink, **kwargs):
+        sinks.append(sink)
+        return search(f, pick, sink, **kwargs)
+
+    monkeypatch.setattr(cli.label_enum, "enumerate_extensions", spy)
+    code = run(RunConfig(task="CE-ST", verify=verify), H1_APX, source="h1.apx")
+    assert code == 0
+    assert capsys.readouterr().out == "COUNT 2\n"
+    assert (sinks[0] is None) is not verify
+
+
+def test_single_task_without_extension_prints_no(capsys):
+    code = run(RunConfig(task="SE-ST", format="apx"), THREE_CYCLE)
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "NO\n"
 
 
-def test_single_task_prints_one():
-    code, output = run(RunConfig(task="SE-ST"), H1_APX, source="h1.apx")
+def test_single_task_prints_one(capsys):
+    code = run(RunConfig(task="SE-ST"), H1_APX, source="h1.apx")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n"
 
 
 def test_parse_error_exits_one(capsys):
-    code, _ = run(RunConfig(format="apx"), "arg(a)\n")
+    code = run(RunConfig(format="apx"), "arg(a)\n")
     assert code == 1
     assert capsys.readouterr().err.startswith("<input>:1: malformed fact")
 
 
 def test_undeclared_argument_exits_one(capsys):
-    code, _ = run(RunConfig(format="apx"), "att(a,b).")
+    code = run(RunConfig(format="apx"), "att(a,b).")
     assert code == 1
     assert "undeclared" in capsys.readouterr().err
 
 
 def test_duplicate_argument_warns_but_runs(capsys):
-    code, output = run(RunConfig(task="CE-ST", format="apx"), "arg(a). arg(a).")
+    code = run(RunConfig(task="CE-ST", format="apx"), "arg(a). arg(a).")
+    captured = capsys.readouterr()
     assert code == 0
-    assert output == "COUNT 1\n"
-    assert "warning" in capsys.readouterr().err
+    assert captured.out == "COUNT 1\n"
+    assert "warning" in captured.err
 
 
-def test_verify_accepts_honest_engines():
-    code, output = run(RunConfig(verify=True, check_invariants=True), H1_APX, source="h1.apx")
+def test_verify_accepts_honest_engines(capsys):
+    code = run(RunConfig(verify=True, check_invariants=True), H1_APX, source="h1.apx")
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "[a,c,d]\n[b,e]\n"
 
 
 def test_verify_failure_exits_two(monkeypatch, capsys):
     monkeypatch.setattr(cli, "is_stable", lambda f, ext: False)
-    code, _ = run(RunConfig(verify=True), H1_APX, source="h1.apx")
+    code = run(RunConfig(verify=True), H1_APX, source="h1.apx")
     assert code == 2
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_verify_failure_keeps_the_extensions_before_it(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "is_stable", lambda f, ext: [f.names[x] for x in ext] != ["b", "e"])
+    code = run(RunConfig(verify=True), H1_APX, source="h1.apx")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "[a,c,d]\n"
+    assert "verification failed: reported set ['b', 'e']" in captured.err
+
+
+def _before_each_delivery(monkeypatch, hook):
+    """Call ``hook(ext)`` whenever the label engine hands ``ext`` to the CLI's sink."""
+    search = cli.label_enum.enumerate_extensions
+
+    def spy(f, pick, sink, **kwargs):
+        def deliver(ext):
+            hook(ext)
+            sink(ext)
+
+        return search(f, pick, deliver, **kwargs)
+
+    monkeypatch.setattr(cli.label_enum, "enumerate_extensions", spy)
+
+
+def test_extensions_are_written_as_found(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written_before = []
+    _before_each_delivery(monkeypatch, lambda ext: written_before.append(out.getvalue()))
+    assert run(RunConfig(), H1_APX, source="h1.apx") == 0
+    assert written_before == ["", "[a,c,d]\n"]
+    assert out.getvalue() == "[a,c,d]\n[b,e]\n"
 
 
 def test_invariant_violation_exits_two(monkeypatch, capsys):
@@ -105,7 +174,7 @@ def test_invariant_violation_exits_two(monkeypatch, capsys):
         raise InvariantViolation("forced for the test")
 
     monkeypatch.setattr(cli.label_enum, "enumerate_extensions", broken)
-    code, _ = run(RunConfig(check_invariants=True), H1_APX, source="h1.apx")
+    code = run(RunConfig(check_invariants=True), H1_APX, source="h1.apx")
     assert code == 2
     assert "invariant" in capsys.readouterr().err
 
@@ -113,7 +182,7 @@ def test_invariant_violation_exits_two(monkeypatch, capsys):
 def test_trace_written_as_json_lines(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     config = RunConfig(trace=str(trace_path))
-    code, _ = run(config, H1_APX, source="h1.apx")
+    code = run(config, H1_APX, source="h1.apx")
     assert code == 0
     events = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert len(events) == 11
@@ -179,6 +248,58 @@ def test_main_trace_requires_label_engine(tmp_path, capsys):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("engine", ["set", "bruteforce"])
+def test_trace_requires_label_engine_in_the_library(tmp_path, engine):
+    with pytest.raises(ValueError, match="--trace requires the label engine"):
+        RunConfig(engine=engine, trace=str(tmp_path / "t.jsonl"))
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+class _PipeClosedAfterFirstWrite(io.StringIO):
+    def write(self, text):
+        if self.getvalue():
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+def test_main_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(pairs_framework(8)))  # 16 extensions
+    delivered = []
+    _before_each_delivery(monkeypatch, delivered.append)
+    out = _PipeClosedAfterFirstWrite()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main([str(path)]) == 1
+    assert len(delivered) == 2
+    assert out.getvalue().count("\n") == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [None, 24], ids=["h1", "pairs24"])
+def test_closed_pipe_exits_one_without_traceback(tmp_path, n):
+    # A real process whose stdout is a pipe without a reader.  On h1 the
+    # first failing write is the final flush; on 24 pairs (4,096 extensions)
+    # it is a full buffer in the middle of the search.
+    path = DATA_DIR / "h1.apx"
+    if n is not None:
+        path = tmp_path / "pairs.apx"
+        path.write_text(write_apx(pairs_framework(n)))
+    # block-buffered, as stdout to a pipe is by default
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabenum.cli", str(path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_main_gen_mode(capsys):
     assert main(["--gen", "6,0.0,1", "--task", "CE-ST"]) == 0
     assert capsys.readouterr().out == "COUNT 1\n"
@@ -204,9 +325,9 @@ def test_parse_gen_forms():
         parse_gen("5,0.5,1,loops")
 
 
-def test_execute_verify_on_generated():
-    code, output = execute(RunConfig(task="CE-ST", engine="set", verify=True),
-                           h1_framework())
+def test_execute_verify_on_generated(capsys):
+    code = execute(RunConfig(task="CE-ST", engine="set", verify=True), h1_framework())
+    output = capsys.readouterr().out
     assert code == 0
     assert output == "COUNT 2\n"
 
@@ -215,6 +336,6 @@ def test_bruteforce_size_guard_in_run_mode(capsys):
     from stabenum.framework import build
 
     big = build([f"a{i}" for i in range(26)], [])
-    code, _ = execute(RunConfig(engine="bruteforce"), big)
+    code = execute(RunConfig(engine="bruteforce"), big)
     assert code == 1
     assert "brute-force" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import io
 
 import pytest
@@ -142,27 +143,26 @@ def test_parse_tgf_syntax_error_wins_over_earlier_undeclared_node():
 
 def test_write_extensions_h1(h1):
     exts = [tuple(sorted(ids(h1, "acd"))), tuple(sorted(ids(h1, "be")))]
-    assert write_extensions(exts, h1.names) == "[a,c,d]\n[b,e]\n"
+    sink = io.StringIO()
+    assert write_extensions(exts, h1.names, sink) == "[a,c,d]\n[b,e]\n"
+    assert sink.getvalue() == "[a,c,d]\n[b,e]\n"
 
 
 def test_write_extensions_empty_framework():
     f = build([], [])
-    assert write_extensions([()], f.names) == "[]\n"
-
-
-def test_write_extensions_count():
-    assert write_extensions([], ("a",), count=0) == "COUNT 0\n"
-    assert write_extensions([], ("a",), count=1) == "COUNT 1\n"
-
-
-def test_write_extensions_no_for_missing_single():
-    assert write_extensions([], ("a",), some=True) == "NO\n"
+    sink = io.StringIO()
+    assert write_extensions([()], f.names, sink) == "[]\n"
+    assert sink.getvalue() == "[]\n"
 
 
 def test_write_extensions_sink():
+    # the sink is required, and the task lines (COUNT, NO) are the CLI's
+    assert list(inspect.signature(write_extensions).parameters) == ["extensions", "names", "sink"]
     sink = io.StringIO()
     text = write_extensions([(0,)], ("a",), sink)
     assert sink.getvalue() == text == "[a]\n"
+    assert write_extensions([], ("a",), sink) == ""
+    assert sink.getvalue() == "[a]\n"
 
 
 def test_format_extension_orders_by_index():
