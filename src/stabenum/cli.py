@@ -41,6 +41,11 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self) -> None:
+        for name, allowed in (("task", TASKS), ("engine", ENGINES),
+                              ("format", (None, *FORMATS)), ("order", tuple(STRATEGIES))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.trace is not None and self.engine != "label":
             raise ValueError("--trace requires the label engine")
 

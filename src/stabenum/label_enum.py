@@ -23,10 +23,12 @@ the first blank argument of a static order, found by a cursor that only
 moves forward along a path, and keeps per-label counts, so a search frame
 costs O(changes), not O(n): no frame scans all labels, only the report of
 an extension does, and the cursor passes each argument once per path.
-All mutations are journalled on a trail; backtracking replays the journal
-backwards to a checkpoint, which restores ``mu``, ``pi``, ``gamma`` and
-the label counts exactly.  The search runs on an explicit stack, so its
-depth is not bounded by Python's recursion limit.
+Label and counter changes are journalled on a trail; a checkpoint also saves
+the worklist, empty at every checkpoint the search opens.  Backtracking
+replays the journal backwards and restores the saved worklist, which
+restores ``mu``, ``pi``, ``gamma`` and the label counts exactly.  The
+search runs on an explicit stack, so its depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from heapq import heappop, heappush
 from typing import Callable
 
 from .framework import Framework
-from .strategies import NO_PROBE, BranchOrder, Probe, lex_order
+from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
 
 
 class Label(enum.IntEnum):
@@ -53,7 +55,7 @@ class Label(enum.IntEnum):
 BLANK, IN, OUT, MUST_OUT = Label
 
 # trail record kinds
-_MU, _PI, _G_ADD, _G_DEL = range(4)
+_MU, _PI = range(2)
 
 
 class UnbalancedRollback(RuntimeError):
@@ -67,13 +69,14 @@ class LabelState:
     ``counts[label]`` is the number of arguments carrying ``label``.
     ``heap`` holds every queued argument, plus stale entries of arguments
     that have left ``gamma``; they are dropped when they reach the top.
+    The trail journals labels and counters; a checkpoint also saves ``gamma``.
     """
 
     mu: list[Label]
     pi: list[int]
     gamma: set[int]
     trail: list[tuple[int, int, int]] = field(default_factory=list)
-    checkpoints: list[int] = field(default_factory=list)
+    checkpoints: list[tuple[int, list[int]]] = field(default_factory=list)
     counts: list[int] = field(init=False)
     heap: list[int] = field(init=False)
 
@@ -90,23 +93,13 @@ class LabelState:
         self.counts[old] -= 1
         self.counts[label] += 1
 
-    def dec_pi(self, x: int) -> None:
-        self.trail.append((_PI, x, self.pi[x]))
-        self.pi[x] -= 1
-
     def gamma_add(self, x: int) -> bool:
         """Enqueue ``x``; returns False if it was already queued."""
         if x in self.gamma:
             return False
-        self.trail.append((_G_ADD, x, 0))
         self.gamma.add(x)
         heappush(self.heap, x)
         return True
-
-    def gamma_discard(self, x: int) -> None:
-        if x in self.gamma:
-            self.trail.append((_G_DEL, x, 0))
-            self.gamma.remove(x)
 
     def first_queued(self) -> int:
         """The lowest queued argument; ``gamma`` must not be empty."""
@@ -116,30 +109,26 @@ class LabelState:
         return heap[0]
 
     def checkpoint(self) -> None:
-        self.checkpoints.append(len(self.trail))
+        """Mark the trail and save the worklist, in O(|gamma|)."""
+        self.checkpoints.append((len(self.trail), sorted(self.gamma)))
 
     def rollback(self) -> None:
-        """Undo every mutation since the matching checkpoint."""
+        """Undo every change since the matching checkpoint."""
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
-        mark = self.checkpoints.pop()
+        mark, queued = self.checkpoints.pop()
         undo = self.trail[mark:]
         del self.trail[mark:]
-        mu, pi, gamma, counts = self.mu, self.pi, self.gamma, self.counts
+        mu, pi, counts = self.mu, self.pi, self.counts
         for kind, x, old in reversed(undo):
             if kind == _MU:
                 counts[mu[x]] -= 1
                 counts[old] += 1
                 mu[x] = old
-            elif kind == _PI:
-                pi[x] = old
-            elif kind == _G_ADD:
-                gamma.discard(x)
             else:
-                gamma.add(x)
-                heappush(self.heap, x)
-        if not gamma:
-            self.heap.clear()  # every entry is stale
+                pi[x] = old
+        self.gamma = set(queued)
+        self.heap = queued  # sorted, so a heap
 
     def members(self, label: Label) -> tuple[int, ...]:
         return tuple([x for x, y in enumerate(self.mu) if y == label])
@@ -245,35 +234,39 @@ def root_is_dead(state: LabelState, f: Framework) -> bool:
     return any(f.self_loop[x] and state.pi[x] == 0 for x in range(f.n))
 
 
+def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
+    """Relabel blank ``x`` as ``label``, fire its triggers, then decrement
+    its targets' counters, firing theirs; False kills the branch."""
+    state.set_mu(x, label)
+    if not _fire(state, f, x, probe):
+        return False
+    trail, pi = state.trail, state.pi
+    for t in f.succ[x]:
+        trail.append((_PI, t, pi[t]))
+        pi[t] -= 1
+        if not _fire(state, f, t, probe):
+            return False
+    return True
+
+
 def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) -> bool:
     """Label ``q`` in and relabel its neighborhood; False kills the branch.
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
-    (targets) or must-out (attackers); a new must-out attacker fires its
-    own triggers, and each relabelling decrements the counters of the
-    neighbor's targets, firing theirs.  The state is left as-is on a dead
-    end so the caller can roll it back.
+    (targets) or must-out (attackers) through :func:`_leave_blank`.  The
+    state is left as-is on a dead end so the caller can roll it back.
     """
     mu = state.mu
-    state.gamma_discard(q)
+    state.gamma.discard(q)
     state.set_mu(q, IN)
     targets = set(f.succ[q])
     for z in f.succ[q]:
         if mu[z] == MUST_OUT:
             state.set_mu(z, OUT)
     for z in sorted(targets.union(f.pred[q])):
-        if mu[z] != BLANK:
-            continue
-        if z in targets:
-            state.set_mu(z, OUT)
-        else:
-            state.set_mu(z, MUST_OUT)
-            if not _fire(state, f, z, probe):
-                return False
-        for t in f.succ[z]:
-            state.dec_pi(t)
-            if not _fire(state, f, t, probe):
-                return False
+        label = OUT if z in targets else MUST_OUT
+        if mu[z] == BLANK and not _leave_blank(state, f, z, label, probe):
+            return False
     return True
 
 
@@ -307,14 +300,7 @@ def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PRO
 
     Triggered forcings accumulate in ``gamma``; False kills the branch.
     """
-    state.set_mu(x, MUST_OUT)
-    if not _fire(state, f, x, probe):
-        return False
-    for z in f.succ[x]:
-        state.dec_pi(z)
-        if not _fire(state, f, z, probe):
-            return False
-    return True
+    return _leave_blank(state, f, x, MUST_OUT, probe)
 
 
 def enumerate_extensions(
@@ -327,7 +313,7 @@ def enumerate_extensions(
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    The search branches on the first blank argument of the order
+    The search branches on the first blank argument of the permutation
     ``pick(f)``, trying it in and then out; the out-branches still to try
     wait on an explicit stack.  ``probe`` sees every branch, forced argument
     and dead end, and a state boundary on entry to each search frame (the
@@ -336,9 +322,7 @@ def enumerate_extensions(
     quiescent.  ``limit``, at least 1, stops the search after that many
     extensions were delivered to ``sink``.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    order = pick(f)
+    order = search_order(f, pick, limit)
     n = len(order)
     state = initial_state(f, probe)
     if root_is_dead(state, f):

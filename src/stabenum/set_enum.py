@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .framework import Framework, attacked_by, attackers_of, initial_partition
-from .strategies import NO_PROBE, BranchOrder, Probe, lex_order
+from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
 
 
 @dataclass(frozen=True)
@@ -116,17 +116,15 @@ def enumerate_extensions(
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    The search branches on the first argument of the order ``pick(f)`` that
-    is still in the choice set, trying it in and then out; the out-branches
+    The search branches on the first argument of the permutation ``pick(f)``
+    that is still in the choice set, trying it in and then out; the out-branches
     still to try wait on an explicit stack, so the depth of the search is
     not bounded by Python's recursion limit.  ``probe`` sees every branch,
     forced argument and dead end, and every state the search moves to, all
     quiescent; ``limit``, at least 1, stops the search once that many
     extensions were delivered.
     """
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
-    order = pick(f)
+    order = search_order(f, pick, limit)
     found = 0
     # (state, x) per branch on x whose out-branch is still to try
     pending: list[tuple[SetState, int]] = []

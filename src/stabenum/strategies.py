@@ -12,6 +12,16 @@ from .framework import Framework
 BranchOrder = Callable[[Framework], Sequence[int]]
 
 
+def search_order(f: Framework, pick: BranchOrder, limit: int | None) -> Sequence[int]:
+    """The order ``pick(f)``; ``ValueError`` for a limit below 1 or a non-permutation."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    order = pick(f)
+    if sorted(order) != list(range(f.n)):
+        raise ValueError(f"branching order is not a permutation of range({f.n})")
+    return order
+
+
 class Probe:
     """Receives the search events of either engine; every method is a no-op.
 

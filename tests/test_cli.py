@@ -255,6 +255,30 @@ def test_trace_requires_label_engine_in_the_library(tmp_path, engine):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("engine", "labl"),
+        ("task", "XX"),
+        ("task", "se-st"),
+        ("order", "bogus"),
+        ("format", "xml"),
+    ],
+)
+def test_run_config_rejects_unknown_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be one of"):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("order", ["lex", "max-out", "max-in"])
+def test_main_trace_matches_the_golden_file(tmp_path, capsys, order):
+    trace = tmp_path / "t.jsonl"
+    args = [str(DATA_DIR / "h1.apx"), "--trace", str(trace), "--check-invariants", "--order", order]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "[a,c,d]\n[b,e]\n"
+    assert trace.read_bytes() == (DATA_DIR / f"h1.{order}.trace.jsonl").read_bytes()
+
+
 class _PipeClosedAfterFirstWrite(io.StringIO):
     def write(self, text):
         if self.getvalue():

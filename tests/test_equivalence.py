@@ -130,3 +130,17 @@ def test_limit_below_one_is_rejected(engine, limit):
     with pytest.raises(ValueError, match="limit must be at least 1"):
         engine.enumerate_extensions(h1_framework(), sink=found.append, limit=limit)
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 4]],
+    ids=["missing", "repeated", "out-of-range"],
+)
+@pytest.mark.parametrize("engine", [set_enum, label_enum])
+def test_order_that_is_not_a_permutation_is_rejected(engine, order):
+    f = pairs_framework(4)
+    found: list = []
+    with pytest.raises(ValueError, match="not a permutation"):
+        engine.enumerate_extensions(f, lambda f: order, found.append)
+    assert found == []

@@ -111,7 +111,7 @@ def test_assign_in_dead_end(h1):
     assert mark_must_out(state, h1, h1.index_of["a"])
     assert mark_must_out(state, h1, h1.index_of["b"])
     assert tables(state, h1) == T9
-    state.gamma_discard(h1.index_of["d"])
+    state.gamma.discard(h1.index_of["d"])
     assert not assign_in(state, h1, h1.index_of["d"])
     assert tables(state, h1) == T10
 
@@ -384,6 +384,9 @@ def test_rollback_is_identity_on_random_runs():
                     break
         state.rollback()
         assert (list(state.mu), list(state.pi), set(state.gamma), list(state.counts)) == snapshot
+        assert state.gamma.issubset(state.heap)
+        if state.gamma:
+            assert state.first_queued() == min(state.gamma)
 
 
 def test_invariant_checker_accepts_boundary_states(h1):
@@ -488,3 +491,20 @@ def test_one_checkpoint_and_one_rollback_per_branch(monkeypatch):
         enumerate_extensions(f, probe=stats)
         assert calls.count("checkpoint") == stats.branches
         assert calls.count("rollback") == stats.branches
+
+
+@pytest.mark.parametrize("order", sorted(STRATEGIES))
+def test_every_checkpoint_finds_an_empty_worklist(monkeypatch, order):
+    # the search opens a checkpoint only after drain, so saving the worklist costs O(1)
+    queued = []
+    checkpoint = LabelState.checkpoint
+
+    def recorded(state):
+        queued.append(len(state.gamma))
+        checkpoint(state)
+
+    monkeypatch.setattr(LabelState, "checkpoint", recorded)
+    for seed in range(40):
+        f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=seed % 2 == 1, seed=seed))
+        enumerate_extensions(f, STRATEGIES[order])
+    assert queued and set(queued) == {0}
