@@ -48,6 +48,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.trace is not None and self.engine != "label":
             raise ValueError("--trace requires the label engine")
+        if self.check_invariants and self.engine == "bruteforce":
+            raise ValueError("--check-invariants requires the set or label engine")
 
 
 def detect_format(source: str) -> str | None:
@@ -192,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verify", action="store_true",
                         help="re-check every reported extension against the definition")
     parser.add_argument("--check-invariants", action="store_true",
-                        help="run the engine state assertions at every search state")
+                        help="run the engine state assertions at every search state "
+                             "(set or label engine)")
     parser.add_argument("--trace", metavar="PATH",
                         help="write one JSON trace event per search state (label engine)")
     parser.add_argument("--gen", metavar="N,P,SEED[,selfloops]",

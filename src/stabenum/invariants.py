@@ -69,9 +69,11 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     """Validate labels and counters of the label-based engine.
 
     Checks the label partition against the set-based invariants, that
-    every maintained counter of a blank or must-out argument is fresh, and
-    that propagation is complete: no must-out argument is left without a
-    blank attacker, and every argument a trigger forces is queued.  Then
+    every argument's counter is fresh, and that propagation is complete: no
+    must-out argument is left without a blank attacker, and every argument a
+    trigger forces is queued.  A fresh counter counts the attackers that are
+    blank or in and do not attack themselves, which are exactly those that
+    have not left blank through a relabelling that decrements it.  Then
     checks the engine's own bookkeeping: the label counts match the labels
     and every queued argument is on the worklist heap.
     """
@@ -84,8 +86,8 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     must_outs = frozenset(x for x in universe if state.mu[x] == MUST_OUT)
     _check_partition(f, ins, outs, blanks, must_outs)
 
-    for x in blanks | must_outs:
-        fresh = sum(1 for y in f.pred[x] if state.mu[y] == BLANK)
+    for x in universe:
+        fresh = sum(1 for y in f.pred[x] if not f.self_loop[y] and state.mu[y] in (BLANK, IN))
         if state.pi[x] != fresh:
             raise InvariantViolation(
                 f"stale counter for {f.names[x]}: {state.pi[x]} != {fresh}"

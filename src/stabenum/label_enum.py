@@ -23,12 +23,11 @@ the first blank argument of a static order, found by a cursor that only
 moves forward along a path, and keeps per-label counts, so a search frame
 costs O(changes), not O(n): no frame scans all labels, only the report of
 an extension does, and the cursor passes each argument once per path.
-Label and counter changes are journalled on a trail; a checkpoint also saves
-the worklist, empty at every checkpoint the search opens.  Backtracking
-replays the journal backwards and restores the saved worklist, which
-restores ``mu``, ``pi``, ``gamma`` and the label counts exactly.  The
-search runs on an explicit stack, so its depth is not bounded by Python's
-recursion limit.
+Only labels are journalled on a trail; a checkpoint also saves the worklist,
+empty at every checkpoint the search opens.  Backtracking replays the journal
+backwards, re-deriving the counters, and restores the saved worklist, so
+``mu``, ``pi``, ``gamma`` and the label counts return exactly.  The search
+runs on an explicit stack, not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -54,9 +53,6 @@ class Label(enum.IntEnum):
 
 BLANK, IN, OUT, MUST_OUT = Label
 
-# trail record kinds
-_MU, _PI = range(2)
-
 
 class UnbalancedRollback(RuntimeError):
     """rollback() was called without a matching checkpoint()."""
@@ -66,16 +62,17 @@ class UnbalancedRollback(RuntimeError):
 class LabelState:
     """Mutable search state: labels, counters, worklist, undo trail.
 
-    ``counts[label]`` is the number of arguments carrying ``label``.
+    ``counts[label]`` counts the arguments labelled ``label``; ``succ`` is ``f.succ``.
     ``heap`` holds every queued argument, plus stale entries of arguments
     that have left ``gamma``; they are dropped when they reach the top.
-    The trail journals labels and counters; a checkpoint also saves ``gamma``.
+    The trail journals ``(x, old label)`` only; a checkpoint also saves ``gamma``.
     """
 
     mu: list[Label]
     pi: list[int]
     gamma: set[int]
-    trail: list[tuple[int, int, int]] = field(default_factory=list)
+    succ: tuple[tuple[int, ...], ...]
+    trail: list[tuple[int, Label]] = field(default_factory=list)
     checkpoints: list[tuple[int, list[int]]] = field(default_factory=list)
     counts: list[int] = field(init=False)
     heap: list[int] = field(init=False)
@@ -88,7 +85,7 @@ class LabelState:
 
     def set_mu(self, x: int, label: Label) -> None:
         old = self.mu[x]
-        self.trail.append((_MU, x, old))
+        self.trail.append((x, old))
         self.mu[x] = label
         self.counts[old] -= 1
         self.counts[label] += 1
@@ -113,20 +110,22 @@ class LabelState:
         self.checkpoints.append((len(self.trail), sorted(self.gamma)))
 
     def rollback(self) -> None:
-        """Undo every change since the matching checkpoint."""
+        """Undo every change since the matching checkpoint, re-deriving ``pi``."""
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
         mark, queued = self.checkpoints.pop()
         undo = self.trail[mark:]
         del self.trail[mark:]
-        mu, pi, counts = self.mu, self.pi, self.counts
-        for kind, x, old in reversed(undo):
-            if kind == _MU:
-                counts[mu[x]] -= 1
-                counts[old] += 1
-                mu[x] = old
-            else:
-                pi[x] = old
+        mu, pi, counts, succ = self.mu, self.pi, self.counts, self.succ
+        for x, old in reversed(undo):
+            # only _leave_blank relabels blank to out or must-out, and it decrements
+            # each target; assign_in's blank -> in and must-out -> out write no counter
+            if old == BLANK and mu[x] != IN:
+                for t in succ[x]:
+                    pi[t] += 1
+            counts[mu[x]] -= 1
+            counts[old] += 1
+            mu[x] = old
         self.gamma = set(queued)
         self.heap = queued  # sorted, so a heap
 
@@ -222,7 +221,7 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     """
     mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
     pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
-    state = LabelState(mu=mu, pi=pi, gamma=set())
+    state = LabelState(mu=mu, pi=pi, gamma=set(), succ=f.succ)
     for x in range(f.n):
         if not _fire(state, f, x, probe):
             break
@@ -235,15 +234,16 @@ def root_is_dead(state: LabelState, f: Framework) -> bool:
 
 
 def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
-    """Relabel blank ``x`` as ``label``, fire its triggers, then decrement
-    its targets' counters, firing theirs; False kills the branch."""
+    """Relabel blank ``x`` as ``label`` (journalled) and decrement its targets'
+    counters (re-derived on rollback), then fire the triggers of ``x`` and of
+    each target; False kills the branch, never halfway through the relabelling."""
     state.set_mu(x, label)
+    pi = state.pi
+    for t in f.succ[x]:
+        pi[t] -= 1
     if not _fire(state, f, x, probe):
         return False
-    trail, pi = state.trail, state.pi
     for t in f.succ[x]:
-        trail.append((_PI, t, pi[t]))
-        pi[t] -= 1
         if not _fire(state, f, t, probe):
             return False
     return True
@@ -296,7 +296,7 @@ def is_solution(state: LabelState) -> bool:
 
 
 def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:
-    """Exclude blank ``x``, fire its triggers and decrement its targets' counters.
+    """Exclude blank ``x``, decrement its targets' counters and fire the triggers.
 
     Triggered forcings accumulate in ``gamma``; False kills the branch.
     """

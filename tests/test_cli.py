@@ -255,6 +255,17 @@ def test_trace_requires_label_engine_in_the_library(tmp_path, engine):
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def test_check_invariants_requires_a_search_engine(tmp_path, capsys):
+    with pytest.raises(ValueError, match="--check-invariants requires the set or label engine"):
+        RunConfig(engine="bruteforce", check_invariants=True)
+    path = tmp_path / "h1.apx"
+    path.write_text(H1_APX)
+    with pytest.raises(SystemExit) as excinfo:
+        main([str(path), "--engine", "bruteforce", "--check-invariants"])
+    assert excinfo.value.code == 1
+    assert "--check-invariants requires" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

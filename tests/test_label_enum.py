@@ -389,6 +389,44 @@ def test_rollback_is_identity_on_random_runs():
             assert state.first_queued() == min(state.gamma)
 
 
+class CounterIdentity(Probe):
+    """Checks at every state, force and dead-end event that each ``pi[t]``
+    counts the attackers of ``t`` that are blank or in and do not attack
+    themselves, so no event sees a half-done relabelling."""
+
+    def __init__(self, f):
+        self.f = f
+        self.events = 0
+
+    def _check(self, state):
+        self.events += 1
+        f, mu = self.f, state.mu
+        for t in range(f.n):
+            fresh = sum(1 for y in f.pred[t] if not f.self_loop[y] and mu[y] in (BLANK, IN))
+            assert state.pi[t] == fresh, (self.events, f.names[t], state.pi[t], fresh)
+
+    def state(self, state, quiescent):
+        self._check(state)
+
+    def force(self, state, x):
+        self._check(state)
+
+    def dead_end(self, state):
+        self._check(state)
+
+
+@pytest.mark.parametrize("order", sorted(STRATEGIES))
+def test_counters_follow_labels_at_every_event(order):
+    events = 0
+    for seed in range(40):
+        for self_loops in (False, True):
+            f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=self_loops, seed=seed))
+            probe = CounterIdentity(f)
+            enumerate_extensions(f, STRATEGIES[order], probe=probe)
+            events += probe.events
+    assert events > 0
+
+
 def test_invariant_checker_accepts_boundary_states(h1):
     state = initial_state(h1)
     check_label_state(h1, state)
@@ -423,6 +461,15 @@ def test_invariant_checker_rejects_stale_counter(h1):
     state = initial_state(h1)
     state.pi[0] = 0  # pretend a's attackers are gone
     with pytest.raises(InvariantViolation):
+        check_label_state(h1, state)
+    # the counter of an out argument, which traces show, is checked too
+    state = initial_state(h1)
+    state.gamma_add(h1.index_of["a"])
+    drain(state, h1)
+    check_label_state(h1, state)
+    assert state.mu[h1.index_of["b"]].json_name() == "out"
+    state.pi[h1.index_of["b"]] -= 1
+    with pytest.raises(InvariantViolation, match="stale counter for b: 1 != 2"):
         check_label_state(h1, state)
 
 
