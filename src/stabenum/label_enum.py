@@ -28,6 +28,11 @@ empty at every checkpoint the search opens.  Backtracking replays the journal
 backwards, re-deriving the counters, and restores the saved worklist, so
 ``mu``, ``pi``, ``gamma`` and the label counts return exactly.  The search
 runs on an explicit stack, not bounded by Python's recursion limit.
+
+Assigning an argument in relabels its neighbourhood by a plan built on its
+first assignment and kept for the rest of the search (it depends on the
+framework alone), writes each label and its count in place, and fires the
+triggers of each relabelled argument's targets in one pass.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterable
 
 from .framework import Framework
 from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
@@ -65,7 +70,13 @@ class LabelState:
     ``counts[label]`` counts the arguments labelled ``label``; ``succ`` is ``f.succ``.
     ``heap`` holds every queued argument, plus stale entries of arguments
     that have left ``gamma``; they are dropped when they reach the top.
-    The trail journals ``(x, old label)`` only; a checkpoint also saves ``gamma``.
+    The trail journals ``(x, old label)`` only, written where :func:`assign_in`
+    and :func:`_leave_blank` relabel; a checkpoint also saves ``gamma``.
+    ``plans[q]`` is ``None`` until :func:`assign_in` first assigns ``q``,
+    then ``q``'s relabelling plan: its neighbours in index order and, for
+    each, ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
+    depend on the framework alone, so they are never journalled and survive
+    rollback; together they hold at most O(n + m) entries per search.
     """
 
     mu: list[Label]
@@ -76,19 +87,14 @@ class LabelState:
     checkpoints: list[tuple[int, list[int]]] = field(default_factory=list)
     counts: list[int] = field(init=False)
     heap: list[int] = field(init=False)
+    plans: list[tuple[list[int], list[Label]] | None] = field(init=False)
 
     def __post_init__(self) -> None:
         self.counts = [0] * len(Label)
         for label in self.mu:
             self.counts[label] += 1
         self.heap = sorted(self.gamma)
-
-    def set_mu(self, x: int, label: Label) -> None:
-        old = self.mu[x]
-        self.trail.append((x, old))
-        self.mu[x] = label
-        self.counts[old] -= 1
-        self.counts[label] += 1
+        self.plans = [None] * len(self.mu)
 
     def gamma_add(self, x: int) -> bool:
         """Enqueue ``x``; returns False if it was already queued."""
@@ -192,23 +198,26 @@ def _force(state: LabelState, x: int, probe: Probe) -> None:
         probe.force(state, x)
 
 
-def _fire(state: LabelState, f: Framework, t: int, probe: Probe) -> bool:
-    """Apply the three counter triggers to ``t``; False kills the branch."""
-    label = state.mu[t]
-    if label == BLANK:
-        if state.pi[t] == 0:
-            _force(state, t, probe)
-    elif label == MUST_OUT:
-        left = state.pi[t]
-        if left == 0:
-            probe.dead_end(state)
-            return False
-        if left == 1:
-            mu = state.mu
-            for y in f.pred[t]:
-                if mu[y] == BLANK:
-                    _force(state, y, probe)
-                    break
+def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> bool:
+    """Apply the three counter triggers to each argument of ``ts`` in turn;
+    False at the first dead end, which kills the branch.  This is the only
+    definition of the triggers."""
+    mu, pi = state.mu, state.pi
+    for t in ts:
+        label = mu[t]
+        if label == BLANK:
+            if pi[t] == 0:
+                _force(state, t, probe)
+        elif label == MUST_OUT:
+            left = pi[t]
+            if left == 0:
+                probe.dead_end(state)
+                return False
+            if left == 1:
+                for y in f.pred[t]:
+                    if mu[y] == BLANK:
+                        _force(state, y, probe)
+                        break
     return True
 
 
@@ -222,9 +231,7 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
     pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
     state = LabelState(mu=mu, pi=pi, gamma=set(), succ=f.succ)
-    for x in range(f.n):
-        if not _fire(state, f, x, probe):
-            break
+    _fire(state, f, range(f.n), probe)
     return state
 
 
@@ -234,37 +241,58 @@ def root_is_dead(state: LabelState, f: Framework) -> bool:
 
 
 def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
-    """Relabel blank ``x`` as ``label`` (journalled) and decrement its targets'
-    counters (re-derived on rollback), then fire the triggers of ``x`` and of
-    each target; False kills the branch, never halfway through the relabelling."""
-    state.set_mu(x, label)
+    """Relabel blank ``x`` as ``label`` and decrement its targets' counters,
+    then fire the triggers of ``x`` if it became must-out and those of its
+    targets; False kills the branch, never halfway through the relabelling.
+
+    The label write is one of the trail's three writes (see :func:`assign_in`);
+    the counters are not journalled, since rollback re-derives them.
+    """
+    state.trail.append((x, BLANK))
+    state.mu[x] = label
+    counts = state.counts
+    counts[BLANK] -= 1
+    counts[label] += 1
     pi = state.pi
-    for t in f.succ[x]:
+    targets = f.succ[x]
+    for t in targets:
         pi[t] -= 1
-    if not _fire(state, f, x, probe):
+    if label == MUST_OUT and not _fire(state, f, (x,), probe):
         return False
-    for t in f.succ[x]:
-        if not _fire(state, f, t, probe):
-            return False
-    return True
+    return _fire(state, f, targets, probe)
 
 
 def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) -> bool:
-    """Label ``q`` in and relabel its neighborhood; False kills the branch.
+    """Label blank ``q`` in and relabel its neighborhood; False kills the branch.
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
-    (targets) or must-out (attackers) through :func:`_leave_blank`.  The
+    (targets) or must-out (attackers) through :func:`_leave_blank`, in
+    index order, following ``q``'s plan (built here on first use).  The
     state is left as-is on a dead end so the caller can roll it back.
+    The trail is written at three sites only, two here and one in
+    :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
+    a blank argument to out or must-out; each also updates ``mu`` and
+    ``counts`` in place.
     """
-    mu = state.mu
+    mu, counts, trail = state.mu, state.counts, state.trail
     state.gamma.discard(q)
-    state.set_mu(q, IN)
-    targets = set(f.succ[q])
+    trail.append((q, BLANK))
+    mu[q] = IN
+    counts[BLANK] -= 1
+    counts[IN] += 1
+    plan = state.plans[q]
+    if plan is None:
+        targets = set(f.succ[q])
+        neighbours = sorted(targets.union(f.pred[q]))
+        labels = [OUT if z in targets else MUST_OUT for z in neighbours]
+        plan = state.plans[q] = (neighbours, labels)
     for z in f.succ[q]:
         if mu[z] == MUST_OUT:
-            state.set_mu(z, OUT)
-    for z in sorted(targets.union(f.pred[q])):
-        label = OUT if z in targets else MUST_OUT
+            trail.append((z, MUST_OUT))
+            mu[z] = OUT
+            counts[MUST_OUT] -= 1
+            counts[OUT] += 1
+    for z, label in zip(*plan):
         if mu[z] == BLANK and not _leave_blank(state, f, z, label, probe):
             return False
     return True

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -555,3 +557,90 @@ def test_every_checkpoint_finds_an_empty_worklist(monkeypatch, order):
         f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=seed % 2 == 1, seed=seed))
         enumerate_extensions(f, STRATEGIES[order])
     assert queued and set(queued) == {0}
+
+
+def test_traced_names_stay_on_the_call_path(monkeypatch):
+    # perfbench's tracer wraps these module globals; a kernel that inlined
+    # one of them would leave its traced counter silently at zero
+    from stabenum import label_enum
+
+    calls = dict.fromkeys(["assign_in", "mark_must_out", "drain"], 0)
+
+    def counter(name):
+        fn = getattr(label_enum, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(label_enum, name, counter(name))
+    queued = 0
+    force = label_enum._force
+
+    def counted_force(state, *args, **kwargs):
+        nonlocal queued
+        before = len(state.gamma)
+        force(state, *args, **kwargs)
+        queued += len(state.gamma) > before
+
+    monkeypatch.setattr(label_enum, "_force", counted_force)
+    stats = SearchStats()
+    enumerate_extensions(random_af(GenSpec(160, 0.025, seed=1)), probe=stats)
+    assert stats.propagations > 0
+    assert queued == stats.propagations
+    assert all(count > 0 for count in calls.values()), calls
+
+
+class EventLog(Probe):
+    """Records every probe event as plain JSON values: ``state`` events as
+    ``mu`` (ints), ``pi``, sorted ``gamma`` and the quiescent flag."""
+
+    def __init__(self):
+        self.events = []
+
+    def state(self, state, quiescent):
+        mu = [int(y) for y in state.mu]
+        self.events.append(["state", mu, list(state.pi), sorted(state.gamma), quiescent])
+
+    def branch(self, state, x):
+        self.events.append(["branch", x])
+
+    def force(self, state, x):
+        self.events.append(["force", x])
+
+    def dead_end(self, state):
+        self.events.append(["dead_end"])
+
+
+# SHA-256 of the canonical JSON of every run below: count, extensions and the
+# ordered probe events; any change to the search tree, to the forcing order or
+# to a state the probe sees changes it
+SEARCH_DIGEST = "7509a2a391d062d8ed9bf41e04ecb293c94bcf63b0de504a0fc6d9f0d5f53269"
+
+
+def test_event_stream_pinned():
+    instances = [
+        random_af(GenSpec(n=n, p=p, allow_self_loops=self_loops, seed=seed))
+        for n in (8, 12, 20, 30)
+        for p in (0.1, 0.2, 0.35)
+        for self_loops in (False, True)
+        for seed in range(8)
+    ]
+    instances.append(pairs_framework(12))
+    digest = hashlib.sha256()
+    runs = 0
+    for f in instances:
+        for order in sorted(STRATEGIES):
+            for limit in (None, 1, 2):
+                log, found = EventLog(), []
+                count = enumerate_extensions(
+                    f, STRATEGIES[order], found.append, probe=log, limit=limit
+                )
+                record = [count, [list(e) for e in found], log.events]
+                digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+                runs += 1
+    assert runs == 1737
+    assert digest.hexdigest() == SEARCH_DIGEST
