@@ -9,17 +9,23 @@ Supported formats:
   by a label that is ignored) up to a lone ``#`` line, then ``ID ID``
   edge lines.
 
-Both accept LF or CRLF and ignore blank lines.  The parsers only lex:
+Both ignore blank lines.  Lines end where ``str.splitlines`` ends them: at
+LF, CRLF, and also a lone CR, VT, FF, FS/GS/RS, NEL, U+2028 and U+2029; the
+same boundaries end an apx ``%`` comment.  The parsers only lex:
 :func:`~stabenum.framework.build` drops repeated declarations, which become
 warnings, and rejects attacks on undeclared arguments.  Errors and warnings
-carry a 1-based line number.
+carry a 1-based line number.  apx is lexed in one regex pass, and its line
+numbers are worked out only when a diagnostic is reported.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from functools import cache
+from itertools import accumulate
+from typing import IO, Callable, Iterable, Sequence
 
 from .framework import Framework, UnknownArgument, build
 
@@ -46,62 +52,76 @@ class MissingSeparator(ParseError):
 
 
 _NAME = r"[A-Za-z0-9_]+"
-_APX_ARG = re.compile(rf"arg\(({_NAME})\)\.")
-_APX_ATT = re.compile(rf"att\(({_NAME}),({_NAME})\)\.")
+# the line boundaries of str.splitlines, as regex escapes; each ends a comment
+_EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+# One apx token per match: an arg fact (group 1), an att fact (groups 2 and
+# 3), a comment (no group) or a stray character (group 4), which is an error;
+# its match runs to the end of the text, so lexing stops at the first error.
+# Whitespace (``\s`` is ``str.isspace``) matches nothing and is skipped.
+_APX = re.compile(
+    rf"arg\(({_NAME})\)\.|att\(({_NAME}),({_NAME})\)\.|%[^{_EOL}]*|(\S)[\s\S]*"
+)
 _TOKEN = re.compile(_NAME)
 
 
 def _build(
     names: list[str],
-    name_lines: list[int],
     attacks: list[tuple[str, str]],
-    attack_lines: list[int],
+    fact_lines: Callable[[], tuple[Sequence[int], Sequence[int]]],
     diagnostics: list[ParseDiagnostic] | None,
 ) -> Framework:
-    """Call :func:`build` and map the positions it reports to line numbers."""
+    """Call :func:`build` and map the positions it reports to line numbers.
+
+    ``fact_lines()`` gives the 1-based lines of ``names`` and of ``attacks``;
+    it is called only for a diagnostic.
+    """
 
     def warn(i: int, message: str) -> None:
         if diagnostics is not None:
-            diagnostics.append(ParseDiagnostic(name_lines[i], message))
+            diagnostics.append(ParseDiagnostic(fact_lines()[0][i], message))
 
     try:
         return build(names, attacks, warn)
     except UnknownArgument as exc:
-        exc.line = attack_lines[exc.index]
+        exc.line = fact_lines()[1][exc.index]
         raise
+
+
+def _lex_apx(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The names of the arg facts and the pairs of the att facts, in order."""
+    tokens = _APX.findall(text)
+    if tokens and tokens[-1][3]:
+        pos = next(m.start() for m in _APX.finditer(text) if m.lastindex == 4)
+        lineno = len(text[:pos + 1].splitlines())  # text[pos] is no line break
+        # the line from pos, less its comment: no '%' precedes pos on the
+        # line, or pos would be inside one
+        near = text[pos:pos + 20].splitlines()[0].split("%", 1)[0]
+        raise ParseError(f"malformed fact near {near!r}", lineno)
+    return [name for name, _, _, _ in tokens if name], [(a, b) for _, a, b, _ in tokens if a]
 
 
 def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
     """Parse apx facts into a framework.
 
-    Attacks may precede the declarations they refer to.
+    Attacks may precede the declarations they refer to.  The text is lexed
+    in one pass; line numbers are worked out only for a diagnostic.
     """
-    names: list[str] = []
-    name_lines: list[int] = []
-    attacks: list[tuple[str, str]] = []
-    attack_lines: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("%", 1)[0]
-        pos = 0
-        end = len(line)
-        while pos < end:
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _APX_ARG.match(line, pos)
-            if m:
-                names.append(m.group(1))
-                name_lines.append(lineno)
-                pos = m.end()
-                continue
-            m = _APX_ATT.match(line, pos)
-            if m:
-                attacks.append(m.groups())
-                attack_lines.append(lineno)
-                pos = m.end()
-                continue
-            raise ParseError(f"malformed fact near {line[pos:pos + 20]!r}", lineno)
-    return _build(names, name_lines, attacks, attack_lines, diagnostics)
+    names, attacks = _lex_apx(text)
+
+    @cache
+    def fact_lines() -> tuple[list[int], list[int]]:
+        # the offsets where lines start; offset pos is on line bisect_right(starts, pos)
+        starts = [0, *accumulate(map(len, text.splitlines(keepends=True)))]
+        name_lines: list[int] = []
+        attack_lines: list[int] = []
+        for m in _APX.finditer(text):
+            if m.lastindex == 1:
+                name_lines.append(bisect_right(starts, m.start()))
+            elif m.lastindex == 3:
+                attack_lines.append(bisect_right(starts, m.start()))
+        return name_lines, attack_lines
+
+    return _build(names, attacks, fact_lines, diagnostics)
 
 
 def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
@@ -139,7 +159,7 @@ def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
             attack_lines.append(lineno)
     if not in_edges:
         raise MissingSeparator("missing '#' separator", len(lines) + 1)
-    return _build(names, name_lines, attacks, attack_lines, diagnostics)
+    return _build(names, attacks, lambda: (name_lines, attack_lines), diagnostics)
 
 
 def write_apx(f: Framework) -> str:

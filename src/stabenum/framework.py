@@ -55,42 +55,48 @@ def build(
     ``names``.  The first attack with an endpoint missing from ``names``
     raises :class:`UnknownArgument`.
     """
-    ordered: list[str] = []
-    index: dict[str, int] = {}
-    for i, name in enumerate(names):
-        if name in index:
-            if warn is not None:
+    names = list(names)
+    ordered = tuple(dict.fromkeys(names))
+    index = dict(zip(ordered, range(len(ordered))))
+    if warn is not None and len(ordered) < len(names):
+        seen: set[str] = set()
+        for i, name in enumerate(names):
+            if name in seen:
                 warn(i, f"duplicate argument {name!r}")
-            continue
-        index[name] = len(ordered)
-        ordered.append(name)
+            seen.add(name)
 
-    pairs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for i, (a, b) in enumerate(attacks):
-        for endpoint in (a, b):
-            if endpoint not in index:
-                raise UnknownArgument(
-                    f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
-                )
-        pair = (index[a], index[b])
-        if pair in seen:
-            continue
-        seen.add(pair)
-        pairs.append(pair)
+    attacks = list(attacks)
+    try:
+        resolved = [(index[a], index[b]) for a, b in attacks]
+    except KeyError:
+        i, a, b = next(
+            (i, a, b) for i, (a, b) in enumerate(attacks) if a not in index or b not in index
+        )
+        endpoint = a if a not in index else b
+        raise UnknownArgument(
+            f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
+        ) from None
+    pairs = tuple(dict.fromkeys(resolved))
 
     n = len(ordered)
     succ: list[list[int]] = [[] for _ in range(n)]
     pred: list[list[int]] = [[] for _ in range(n)]
+    self_loop = [False] * n
     for x, y in pairs:
         succ[x].append(y)
         pred[y].append(x)
+        if x == y:
+            self_loop[x] = True
+    for targets in succ:
+        targets.sort()
+    for attackers in pred:
+        attackers.sort()
     return Framework(
-        names=tuple(ordered),
-        attacks=tuple(pairs),
-        succ=tuple(tuple(sorted(t)) for t in succ),
-        pred=tuple(tuple(sorted(t)) for t in pred),
-        self_loop=tuple((x, x) in seen for x in range(n)),
+        names=ordered,
+        attacks=pairs,
+        succ=tuple(map(tuple, succ)),
+        pred=tuple(map(tuple, pred)),
+        self_loop=tuple(self_loop),
         index_of=index,
     )
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Callable, Iterable
 
 from .framework import Framework
@@ -228,8 +229,12 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     attacker makes the root a dead end: ``probe`` is told and the remaining
     triggers are skipped; :func:`root_is_dead` recognises such a state.
     """
-    mu = [MUST_OUT if f.self_loop[x] else BLANK for x in range(f.n)]
-    pi = [sum(1 for y in f.pred[x] if not f.self_loop[y]) for x in range(f.n)]
+    mu = [MUST_OUT if loop else BLANK for loop in f.self_loop]
+    # pi counts the attackers that are not self-attackers
+    pi = [len(attackers) for attackers in f.pred]
+    for y in compress(range(f.n), f.self_loop):
+        for t in f.succ[y]:
+            pi[t] -= 1
     state = LabelState(mu=mu, pi=pi, gamma=set(), succ=f.succ)
     _fire(state, f, range(f.n), probe)
     return state

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import inspect
 import io
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stabenum import formats
 from stabenum.formats import (
     MissingSeparator,
     ParseDiagnostic,
@@ -19,6 +22,7 @@ from stabenum.formats import (
 )
 from stabenum.framework import UnknownArgument, build
 
+import reference_apx
 from conftest import DATA_DIR, frameworks, h1_framework, ids
 
 
@@ -78,6 +82,7 @@ def test_parse_apx_duplicate_argument_warns():
     [
         (parse_apx, "arg(a).\natt(a,b).\natt(c,a).\n", 2),
         (parse_apx, "att(c,a).\narg(a).\natt(a,b).\n", 1),
+        (parse_apx, "arg(a).\x0catt(a,b).", 2),
         (parse_tgf, "1\n#\n1 2\n3 1\n", 3),
     ],
 )
@@ -188,3 +193,113 @@ def test_tgf_round_trip(f):
 @given(frameworks())
 def test_cross_format_equality(f):
     assert parse_apx(write_apx(f)) == parse_tgf(write_tgf(f))
+
+
+# ---------------------------------------------------------------- the one-pass apx lexer
+# parse_apx must read every text as the line-by-line lexer it replaced
+# (tests/reference_apx.py) does: same framework, diagnostics and errors.
+
+_LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_SPACES = (" ", "\t", "\xa0", "\u3000", "\x1f")
+_APX_NAMES = st.sampled_from(["a", "b", "c", "a1", "_x"])
+_MALFORMED = (
+    "arg(", "att(a,b)", "arg(a%b).", "arg(a) .", "att(a, b).", "arg(\xe9).", 'arg("a").',
+    ")", ".", "arg().", "att(a,b,c).", "ARG(a).", "%",
+)
+
+
+@st.composite
+def apx_texts(draw):
+    """Texts built from facts, comments, every line break and Unicode
+    whitespace, with a malformed piece in about a third of them."""
+    piece = st.one_of(
+        _APX_NAMES.map(lambda a: f"arg({a})."),
+        st.tuples(_APX_NAMES, _APX_NAMES).map(lambda ab: f"att({ab[0]},{ab[1]})."),
+        st.sampled_from(_LINE_BREAKS),
+        st.sampled_from(_SPACES),
+        st.text(alphabet="ag(r).,%xyz \t\xa0\u3000\x1f", max_size=12).map(lambda c: "%" + c),
+    )
+    pieces = draw(st.lists(piece, max_size=24))
+    if draw(st.integers(0, 2)) == 0:
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_MALFORMED)))
+    return "".join(pieces)
+
+
+def _outcome(parse, text):
+    """What parsing ``text`` gives: the framework in full and the
+    diagnostics, or the exception's type, message, line and index."""
+    diagnostics = []
+    try:
+        f = parse(text, diagnostics)
+    except (ParseError, UnknownArgument) as exc:
+        return type(exc), exc.message, exc.line, getattr(exc, "index", None)
+    return f, f.succ, f.pred, f.self_loop, f.index_of, diagnostics
+
+
+@settings(max_examples=400)
+@given(apx_texts())
+def test_parse_apx_matches_the_line_by_line_reference(text):
+    assert _outcome(parse_apx, text) == _outcome(reference_apx.parse_apx, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "arg(a%b).",
+        "arg(a).\rarg(a).\u2028att(a,b).",
+        "arg(a).\x0catt(a,b).",
+        "% c\x85arg(a). arg(b).\x1eatt(b,a).\x1fatt(a,c)\u2029",
+        "arg(a).\x1farg(a).",
+        "arg(a).\u3000\xa0arg(b).\r\n\r\narg(a).",
+    ],
+)
+def test_parse_apx_matches_the_reference_on_line_breaks(text):
+    assert _outcome(parse_apx, text) == _outcome(reference_apx.parse_apx, text)
+
+
+def test_parse_apx_malformed_fact_is_quoted_without_its_comment():
+    with pytest.raises(ParseError) as excinfo:
+        parse_apx("arg(b).\n  arg(a%b).\n")
+    assert excinfo.value.message == "malformed fact near 'arg(a'"
+    assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("brk", ["\r", "\u2028"])
+def test_parse_apx_duplicate_after_a_lone_line_break(brk):
+    diagnostics = []
+    f = parse_apx(f"arg(a).{brk}arg(b).{brk}arg(a).", diagnostics)
+    assert f.names == ("a", "b")
+    assert diagnostics == [ParseDiagnostic(3, "duplicate argument 'a'")]
+
+
+def test_parse_apx_stops_lexing_at_the_first_malformed_fact():
+    # a large file that is not apx fails without a token per character
+    text = "x y\n" * 250_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as excinfo:
+            parse_apx(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (excinfo.value.line, excinfo.value.message) == (1, "malformed fact near 'x y'")
+    assert peak < len(text) // 10
+
+
+def test_parse_apx_comment_ends_at_a_line_break_that_is_not_lf():
+    f = parse_apx("% arg(x).\rarg(a).% arg(y).\u2029arg(b).")
+    assert f.names == ("a", "b")
+
+
+def test_parsers_look_build_up_at_call_time(monkeypatch):
+    # the benchmark's tracer times framework.build by wrapping formats.build
+    calls = []
+
+    def counted_build(*args):
+        calls.append(args[0])
+        return build(*args)
+
+    monkeypatch.setattr(formats, "build", counted_build)
+    parse_apx("arg(a).")
+    parse_tgf("b\n#\n")
+    assert calls == [["a"], ["b"]]

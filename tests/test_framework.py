@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from stabenum.framework import UnknownArgument, build, initial_partition
 
+import reference_apx
 from conftest import H1_ATTACKS, H1_NAMES, frameworks, ids
 
 
@@ -92,3 +94,70 @@ def test_initial_partition_partitions_arguments(f):
     choice, tabu = initial_partition(f)
     assert choice | tabu == frozenset(range(f.n))
     assert not choice & tabu
+
+
+# ---------------------------------------------------------------- build's bulk path
+# build must give what the item-by-item build it replaced
+# (tests/reference_apx.py) gives: framework, warnings and error.
+
+
+def _build_outcome(build_fn, names, attacks):
+    warnings: list[tuple[int, str]] = []
+    try:
+        f = build_fn(names, attacks, lambda i, message: warnings.append((i, message)))
+    except UnknownArgument as exc:
+        return exc.message, exc.index, warnings
+    return f, f.succ, f.pred, f.self_loop, f.index_of, warnings
+
+
+@given(
+    st.lists(st.sampled_from("abcde"), max_size=8),
+    st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=12),
+)
+def test_build_matches_the_item_by_item_reference(names, attacks):
+    assert _build_outcome(build, names, attacks) == _build_outcome(
+        reference_apx.build, names, attacks
+    )
+
+
+def test_build_takes_one_shot_iterators():
+    names, attacks = ["a", "b", "a"], [("a", "b"), ("b", "b"), ("a", "b")]
+    warnings: list[tuple[int, str]] = []
+    f = build(iter(names), iter(attacks), lambda i, message: warnings.append((i, message)))
+    assert f == build(names, attacks)
+    assert (f.succ, f.pred, f.self_loop) == (((1,), (1,)), ((), (0, 1)), (False, True))
+    assert warnings == [(2, "duplicate argument 'a'")]
+    with pytest.raises(UnknownArgument) as excinfo:
+        build(iter(names), iter(attacks + [("c", "a")]))
+    assert excinfo.value.index == 3
+
+
+def test_build_warns_for_each_repeat_in_order():
+    warnings: list[tuple[int, str]] = []
+    f = build(["a", "b", "a", "b", "a"], [], lambda i, message: warnings.append((i, message)))
+    assert f.names == ("a", "b")
+    assert warnings == [
+        (2, "duplicate argument 'a'"),
+        (3, "duplicate argument 'b'"),
+        (4, "duplicate argument 'a'"),
+    ]
+
+
+def test_build_does_not_call_warn_without_repeats():
+    def warn(i: int, message: str) -> None:
+        raise AssertionError(f"warn({i}, {message!r}) called")
+
+    assert build(["a", "b"], [("a", "b"), ("a", "b")], warn).attacks == ((0, 1),)
+
+
+def test_build_repeated_attack_before_an_undeclared_one():
+    with pytest.raises(UnknownArgument) as excinfo:
+        build(["a", "b"], [("a", "b"), ("a", "b"), ("b", "c")])
+    assert excinfo.value.index == 2
+    assert excinfo.value.message == "attack (b,c) uses undeclared argument 'c'"
+
+
+def test_build_repeated_self_attack():
+    f = build(["y", "x"], [("x", "x"), ("x", "x")])
+    assert f.attacks == ((1, 1),)
+    assert f.self_loop == (False, True)
