@@ -98,7 +98,7 @@ def execute(config: RunConfig, f: Framework) -> int:
                     probe = Checker(f, check)
                 if trace is not None:
                     tracer = label_enum.Tracer(
-                        f, lambda event: trace.write(json.dumps(event.as_dict()) + "\n")
+                        f, lambda event: trace.write(json.dumps(event) + "\n")
                     )
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
                 sink = report if verify or write else None

@@ -74,8 +74,8 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     trigger forces is queued.  A fresh counter counts the attackers that are
     blank or in and do not attack themselves, which are exactly those that
     have not left blank through a relabelling that decrements it.  Then
-    checks the engine's own bookkeeping: the label counts match the labels
-    and every queued argument is on the worklist heap.
+    checks the engine's own bookkeeping: every queued argument is on the
+    worklist heap.
     """
     from .label_enum import BLANK, IN, MUST_OUT, OUT
 
@@ -106,11 +106,6 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
         if state.pi[x] == 0 and x not in state.gamma:
             raise InvariantViolation(f"unattacked blank {f.names[x]} is not queued")
 
-    counts = [0] * len(state.counts)
-    for label in state.mu:
-        counts[label] += 1
-    if state.counts != counts:
-        raise InvariantViolation(f"label counts {state.counts} != histogram of labels {counts}")
     off_heap = state.gamma.difference(state.heap)
     if off_heap:
         raise InvariantViolation(

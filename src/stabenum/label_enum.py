@@ -20,19 +20,20 @@ the same tree.
 Forced arguments accumulate in the worklist ``gamma`` and are assigned by
 :func:`drain`, lowest index first, through a heap.  The search branches on
 the first blank argument of a static order, found by a cursor that only
-moves forward along a path, and keeps per-label counts, so a search frame
-costs O(changes), not O(n): no frame scans all labels, only the report of
-an extension does, and the cursor passes each argument once per path.
+moves forward along a path, so a search frame costs O(changes), not O(n):
+no frame scans all labels, only the report of an extension does, and the
+cursor passes each argument once per path; the cursor reaching the end of
+the order recognises a leaf.
 Only labels are journalled on a trail; a checkpoint also saves the worklist,
 empty at every checkpoint the search opens.  Backtracking replays the journal
 backwards, re-deriving the counters, and restores the saved worklist, so
-``mu``, ``pi``, ``gamma`` and the label counts return exactly.  The search
-runs on an explicit stack, not bounded by Python's recursion limit.
+``mu``, ``pi`` and ``gamma`` return exactly.  The search runs on an explicit
+stack, not bounded by Python's recursion limit.
 
 Assigning an argument in relabels its neighbourhood by a plan built on its
 first assignment and kept for the rest of the search (it depends on the
-framework alone), writes each label and its count in place, and fires the
-triggers of each relabelled argument's targets in one pass.
+framework alone), writes each label in place, and fires the triggers of each
+relabelled argument's targets in one pass.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class UnbalancedRollback(RuntimeError):
 class LabelState:
     """Mutable search state: labels, counters, worklist, undo trail.
 
-    ``counts[label]`` counts the arguments labelled ``label``; ``succ`` is ``f.succ``.
-    ``heap`` holds every queued argument, plus stale entries of arguments
-    that have left ``gamma``; they are dropped when they reach the top.
+    ``succ`` is ``f.succ``.  ``heap`` holds every queued argument, plus stale
+    entries of arguments that have left ``gamma``; they are dropped when they
+    reach the top.
     The trail journals ``(x, old label)`` only, written where :func:`assign_in`
     and :func:`_leave_blank` relabel; a checkpoint also saves ``gamma``.
     ``plans[q]`` is ``None`` until :func:`assign_in` first assigns ``q``,
@@ -86,14 +87,10 @@ class LabelState:
     succ: tuple[tuple[int, ...], ...]
     trail: list[tuple[int, Label]] = field(default_factory=list)
     checkpoints: list[tuple[int, list[int]]] = field(default_factory=list)
-    counts: list[int] = field(init=False)
     heap: list[int] = field(init=False)
     plans: list[tuple[list[int], list[Label]] | None] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.counts = [0] * len(Label)
-        for label in self.mu:
-            self.counts[label] += 1
         self.heap = sorted(self.gamma)
         self.plans = [None] * len(self.mu)
 
@@ -123,15 +120,13 @@ class LabelState:
         mark, queued = self.checkpoints.pop()
         undo = self.trail[mark:]
         del self.trail[mark:]
-        mu, pi, counts, succ = self.mu, self.pi, self.counts, self.succ
+        mu, pi, succ = self.mu, self.pi, self.succ
         for x, old in reversed(undo):
             # only _leave_blank relabels blank to out or must-out, and it decrements
             # each target; assign_in's blank -> in and must-out -> out write no counter
             if old == BLANK and mu[x] != IN:
                 for t in succ[x]:
                     pi[t] += 1
-            counts[mu[x]] -= 1
-            counts[old] += 1
             mu[x] = old
         self.gamma = set(queued)
         self.heap = queued  # sorted, so a heap
@@ -150,40 +145,23 @@ class LabelState:
         return frozenset(self.members(BLANK))
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """Snapshot of (labels, counters, worklist) at one search state."""
-
-    state_id: int
-    mu: dict[str, str]
-    pi: dict[str, int]
-    gamma: list[str]
-
-    def as_dict(self) -> dict:
-        return {
-            "state_id": self.state_id,
-            "mu": dict(self.mu),
-            "pi": dict(self.pi),
-            "gamma": list(self.gamma),
-        }
-
-
-def trace_event(state: LabelState, f: Framework, state_id: int) -> TraceEvent:
-    return TraceEvent(
-        state_id=state_id,
-        mu={f.names[x]: state.mu[x].json_name() for x in range(f.n)},
-        pi={f.names[x]: state.pi[x] for x in range(f.n)},
-        gamma=[f.names[x] for x in sorted(state.gamma)],
-    )
+def trace_event(state: LabelState, f: Framework, state_id: int) -> dict:
+    """Snapshot of (labels, counters, worklist) at one search state, as JSON."""
+    return {
+        "state_id": state_id,
+        "mu": {f.names[x]: state.mu[x].json_name() for x in range(f.n)},
+        "pi": {f.names[x]: state.pi[x] for x in range(f.n)},
+        "gamma": [f.names[x] for x in sorted(state.gamma)],
+    }
 
 
 class Tracer(Probe):
-    """Probe that sends a :class:`TraceEvent` to ``sink`` at every state boundary.
+    """Probe that sends a :func:`trace_event` to ``sink`` at every state boundary.
 
     Events are numbered from 1 in the order they occur.
     """
 
-    def __init__(self, f: Framework, sink: Callable[[TraceEvent], None]) -> None:
+    def __init__(self, f: Framework, sink: Callable[[dict], None]) -> None:
         self.f = f
         self.sink = sink
         self.events = 0
@@ -242,7 +220,7 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
 
 def root_is_dead(state: LabelState, f: Framework) -> bool:
     """True iff a self-attacker of the :func:`initial_state` has no blank attacker."""
-    return any(f.self_loop[x] and state.pi[x] == 0 for x in range(f.n))
+    return 0 in compress(state.pi, f.self_loop)
 
 
 def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
@@ -255,9 +233,6 @@ def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: P
     """
     state.trail.append((x, BLANK))
     state.mu[x] = label
-    counts = state.counts
-    counts[BLANK] -= 1
-    counts[label] += 1
     pi = state.pi
     targets = f.succ[x]
     for t in targets:
@@ -276,15 +251,12 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     state is left as-is on a dead end so the caller can roll it back.
     The trail is written at three sites only, two here and one in
     :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
-    a blank argument to out or must-out; each also updates ``mu`` and
-    ``counts`` in place.
+    a blank argument to out or must-out; each also updates ``mu`` in place.
     """
-    mu, counts, trail = state.mu, state.counts, state.trail
+    mu, trail = state.mu, state.trail
     state.gamma.discard(q)
     trail.append((q, BLANK))
     mu[q] = IN
-    counts[BLANK] -= 1
-    counts[IN] += 1
     plan = state.plans[q]
     if plan is None:
         targets = set(f.succ[q])
@@ -295,8 +267,6 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
         if mu[z] == MUST_OUT:
             trail.append((z, MUST_OUT))
             mu[z] = OUT
-            counts[MUST_OUT] -= 1
-            counts[OUT] += 1
     for z, label in zip(*plan):
         if mu[z] == BLANK and not _leave_blank(state, f, z, label, probe):
             return False
@@ -325,7 +295,7 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
 
 def is_solution(state: LabelState) -> bool:
     """True iff no blank and no must-out labels remain; the in-set is then stable."""
-    return state.counts[BLANK] == 0 and state.counts[MUST_OUT] == 0
+    return BLANK not in state.mu and MUST_OUT not in state.mu
 
 
 def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:

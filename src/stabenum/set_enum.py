@@ -137,7 +137,7 @@ def enumerate_extensions(
             pending.append((after, x))
             state = apply_join(after, f, frozenset((x,)))
         else:
-            if after is not None and not after.tabu:
+            if after is not None and is_solution(after):
                 found += 1
                 if sink is not None:
                     sink(tuple(sorted(after.chosen)))

@@ -57,7 +57,7 @@ def test_criterion_2_trace_reproduction():
     h1 = h1_framework()
     events: list = []
     label_enum.enumerate_extensions(h1, probe=label_enum.Tracer(h1, events.append))
-    got = [(e.mu, e.pi, e.gamma) for e in events]
+    got = [(e["mu"], e["pi"], e["gamma"]) for e in events]
     # positions of the golden snapshots inside the full event stream
     expected = {0: T1, 2: T3, 5: T5, 6: T6, 7: T7, 8: T8, 9: T9, 10: T10}
     mismatches = [
@@ -251,7 +251,7 @@ def test_criterion_7_backtracking_integrity():
             )
         )
         state = initial_state(f)
-        frames = [(list(state.mu), list(state.pi), set(state.gamma), list(state.counts))]
+        frames = [(list(state.mu), list(state.pi), set(state.gamma))]
         state.checkpoint()
         depth = 1
         for _ in range(rng.randint(1, 2 * f.n + 2)):
@@ -261,7 +261,7 @@ def test_criterion_7_backtracking_integrity():
             x = rng.choice(blanks)
             move = rng.random()
             if move < 0.2 and depth < 4:
-                frames.append((list(state.mu), list(state.pi), set(state.gamma), list(state.counts)))
+                frames.append((list(state.mu), list(state.pi), set(state.gamma)))
                 state.checkpoint()
                 depth += 1
             if move < 0.6:
@@ -276,7 +276,7 @@ def test_criterion_7_backtracking_integrity():
             expected = frames.pop()
             state.rollback()
             depth -= 1
-            if (list(state.mu), list(state.pi), set(state.gamma), list(state.counts)) != expected:
+            if (list(state.mu), list(state.pi), set(state.gamma)) != expected:
                 diffs += 1
     _report(
         "criterion 7: backtracking integrity",
