@@ -34,10 +34,16 @@ def main() -> int:
     parser.add_argument("--selfloops", action="store_true")
     args = parser.parse_args()
 
+    try:
+        specs = [
+            GenSpec(n=args.n, p=args.p, allow_self_loops=args.selfloops, seed=seed)
+            for seed in args.seeds
+        ]
+    except ValueError as exc:
+        parser.error(str(exc))
     args.outdir.mkdir(parents=True, exist_ok=True)
-    for seed in args.seeds:
-        spec = GenSpec(n=args.n, p=args.p, allow_self_loops=args.selfloops, seed=seed)
-        path = args.outdir / f"af_n{args.n}_p{args.p}_s{seed}.apx"
+    for spec in specs:
+        path = args.outdir / f"af_n{args.n}_p{args.p}_s{spec.seed}.apx"
         path.write_text(write_apx(random_af(spec)))
         print(path)
     return 0

@@ -40,3 +40,17 @@ def test_main_empty_seed_range_is_usage_error(tmp_path, monkeypatch, capsys):
     assert excinfo.value.code == 2
     assert "empty seed range" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    (["--p", "1.5"], "attack probability 1.5 outside [0,1]"),
+    (["--n", "-3"], "negative argument count -3"),
+], ids=["p-above-one", "negative-n"])
+def test_main_invalid_spec_is_usage_error(tmp_path, monkeypatch, capsys, option, message):
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["gen_instances.py", str(out), *option])
+    with pytest.raises(SystemExit) as excinfo:
+        gen_instances.main()
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()

@@ -9,9 +9,11 @@ completion is left; the two engines must branch on the same states and meet
 their dead ends in the same order.  Forcing sequences are not compared: the
 engines force in different orders by design.
 
-Run as a script to sweep every framework on ``n`` arguments::
+Run as a script to sweep every framework on ``n`` arguments, or every
+``stride``-th one if a stride follows::
 
     PYTHONPATH=src python tests/test_small_models.py 4
+    PYTHONPATH=src python tests/test_small_models.py 5 335
 """
 
 from __future__ import annotations
@@ -103,6 +105,6 @@ def test_small_models(n, stride):
 
 
 if __name__ == "__main__":
-    failures = sweep(int(sys.argv[1]))
+    failures = sweep(*map(int, sys.argv[1:]))
     print("\n".join(failures) or "no failures")
     sys.exit(1 if failures else 0)
