@@ -147,8 +147,7 @@ def run(config: RunConfig, text: str, source: str = "<input>") -> int:
     try:
         f = parse_apx(text, diagnostics) if fmt == "apx" else parse_tgf(text, diagnostics)
     except (ParseError, UnknownArgument) as exc:
-        line = "?" if exc.line is None else exc.line
-        print(f"{source}:{line}: {exc.message}", file=sys.stderr)
+        print(f"{source}:{exc.line}: {exc.message}", file=sys.stderr)
         return 1
     for diag in diagnostics:
         print(f"{source}:{diag.line}: warning: {diag.message}", file=sys.stderr)

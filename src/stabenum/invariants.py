@@ -1,7 +1,7 @@
 """Executable forms of the search-state invariants.
 
-Both engines run these through a :class:`Checker` probe at every quiescent
-search state; a failure means the engine corrupted its own bookkeeping.
+Both engines run these through a :class:`Checker` probe at every search
+state boundary; a failure means the engine corrupted its own bookkeeping.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ class InvariantViolation(RuntimeError):
 
 @dataclass
 class Checker(Probe):
-    """Probe that runs ``check(f, state)`` at every quiescent search state."""
+    """Probe that runs ``check(f, state)`` at every search state boundary."""
 
     f: Framework
     check: Callable[[Framework, Any], None]
 
-    def state(self, state: Any, quiescent: bool) -> None:
-        if quiescent:
-            self.check(self.f, state)
+    def state(self, state: Any) -> None:
+        self.check(self.f, state)
 
 
 def _check_partition(

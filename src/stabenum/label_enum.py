@@ -15,7 +15,11 @@ The must-out triggers fire both when a counter drops and when an argument
 becomes must-out (self-attackers at the root, attackers of an argument
 assigned in, the excluded branch argument), so the search prunes exactly
 where the set engine's ``dead_end`` and ``sole_attacker`` do and explores
-the same tree.
+the same tree.  Two lemmas follow in any branching order and are asserted,
+not branched on.  A leaf is a solution: each must-out argument keeps a blank
+attacker.  Excluding the branch argument never ends its branch at once: the
+worklist is empty at a branch point, so it has a blank attacker and each
+must-out argument two, and each counter drops by one at most.
 
 Forced arguments accumulate in the worklist ``gamma`` and are assigned by
 :func:`drain`, lowest index first, through a heap.  The search branches on
@@ -156,7 +160,7 @@ def trace_event(state: LabelState, f: Framework, state_id: int) -> dict:
 
 
 class Tracer(Probe):
-    """Probe that sends a :func:`trace_event` to ``sink`` at every state boundary.
+    """Probe that sends a :func:`trace_event` to ``sink`` per state boundary and dead end.
 
     Events are numbered from 1 in the order they occur.
     """
@@ -166,9 +170,11 @@ class Tracer(Probe):
         self.sink = sink
         self.events = 0
 
-    def state(self, state: LabelState, quiescent: bool) -> None:
+    def state(self, state: LabelState) -> None:
         self.events += 1
         self.sink(trace_event(state, self.f, self.events))
+
+    dead_end = state
 
 
 def _force(state: LabelState, x: int, probe: Probe) -> None:
@@ -280,16 +286,14 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     that loses its blank label ends the branch inside the :func:`assign_in`
     or :func:`mark_must_out` that relabels it, since its own trigger or
     that of the must-out argument it was forced for fires there.  ``probe``
-    sees the state after each assignment, as quiescent unless the
-    assignment killed the branch.
+    sees the state after each assignment that keeps the branch alive.
     """
     while state.gamma:
         q = state.first_queued()
         assert state.mu[q] == BLANK, f"stale worklist entry {f.names[q]}"
-        ok = assign_in(state, f, q, probe)
-        probe.state(state, ok)
-        if not ok:
+        if not assign_in(state, f, q, probe):
             return False
+        probe.state(state)
     return True
 
 
@@ -319,17 +323,16 @@ def enumerate_extensions(
     The search branches on the first blank argument of the permutation
     ``pick(f)``, trying it in and then out; the out-branches still to try
     wait on an explicit stack.  ``probe`` sees every branch, forced argument
-    and dead end, and a state boundary on entry to each search frame (the
-    root, and each in- and out-branch), after each worklist assignment and
-    at each dead end, including a dead root; the dead-end boundaries are not
-    quiescent.  ``limit``, at least 1, stops the search after that many
-    extensions were delivered to ``sink``.
+    and dead end, once each, and a state boundary on entry to each search
+    frame (the root, and each in- and out-branch) and after each worklist
+    assignment that keeps the branch alive.  ``limit``, at least 1, stops
+    the search after that many extensions were delivered to ``sink``.  The
+    leaf and out-branch lemmas (see the module docstring) are asserted.
     """
     order = search_order(f, pick, limit)
     n = len(order)
     state = initial_state(f, probe)
     if root_is_dead(state, f):
-        probe.state(state, False)
         return 0
     found = 0
     # every argument before the cursor in ``order`` is labelled; labels only
@@ -339,7 +342,7 @@ def enumerate_extensions(
     # checkpoint, opened before the in-branch, also undoes the out-branches
     # of every deeper branch
     pending: list[tuple[int, int]] = []
-    probe.state(state, True)
+    probe.state(state)
     while True:
         if drain(state, f, probe):
             mu = state.mu
@@ -351,9 +354,8 @@ def enumerate_extensions(
                 pending.append((x, cursor))
                 state.checkpoint()
                 state.gamma_add(x)
-                probe.state(state, True)
+                probe.state(state)
                 continue
-            # every must-out argument keeps a blank attacker, so none is left
             assert is_solution(state)
             found += 1
             if sink is not None:
@@ -361,12 +363,10 @@ def enumerate_extensions(
             if limit is not None and found >= limit:
                 return found
         # backtrack to the deepest branch whose out-branch is still to try
-        while True:
-            if not pending:
-                return found
-            x, cursor = pending.pop()
-            state.rollback()
-            if mark_must_out(state, f, x, probe):
-                probe.state(state, True)
-                break
-            probe.state(state, False)
+        if not pending:
+            return found
+        x, cursor = pending.pop()
+        state.rollback()
+        excluded = mark_must_out(state, f, x, probe)
+        assert excluded, f"excluding branch argument {f.names[x]} ended its branch"
+        probe.state(state)

@@ -96,12 +96,12 @@ def propagate(state: SetState, f: Framework, probe: Probe = NO_PROBE) -> SetStat
             for x in sorted(alpha):
                 probe.force(state, x)
             state = apply_join(state, f, alpha)
-            probe.state(state, True)
+            probe.state(state)
         beta = sole_attacker(state, f)
         if beta is not None:
             probe.force(state, beta)
             state = apply_join(state, f, frozenset((beta,)))
-            probe.state(state, True)
+            probe.state(state)
         if not alpha and beta is None:
             return state
 
@@ -120,9 +120,9 @@ def enumerate_extensions(
     that is still in the choice set, trying it in and then out; the out-branches
     still to try wait on an explicit stack, so the depth of the search is
     not bounded by Python's recursion limit.  ``probe`` sees every branch,
-    forced argument and dead end, and every state the search moves to, all
-    quiescent; ``limit``, at least 1, stops the search once that many
-    extensions were delivered.
+    forced argument and dead end, and every state the search moves to;
+    ``limit``, at least 1, stops the search once that many extensions were
+    delivered.
     """
     order = search_order(f, pick, limit)
     found = 0
@@ -137,7 +137,9 @@ def enumerate_extensions(
             pending.append((after, x))
             state = apply_join(after, f, frozenset((x,)))
         else:
-            if after is not None and is_solution(after):
+            if after is not None:
+                # choice is empty, so a tabu argument would have been a dead end
+                assert is_solution(after)
                 found += 1
                 if sink is not None:
                     sink(tuple(sorted(after.chosen)))
@@ -148,4 +150,4 @@ def enumerate_extensions(
             after, x = pending.pop()
             state = SetState(after.chosen, after.defeated,
                              after.choice - {x}, after.tabu | {x})
-        probe.state(state, True)
+        probe.state(state)

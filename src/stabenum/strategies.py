@@ -31,8 +31,8 @@ class Probe:
     an O(n) scan.
     """
 
-    def state(self, state: Any, quiescent: bool) -> None:
-        """A search state boundary; ``quiescent`` states have consistent bookkeeping."""
+    def state(self, state: Any) -> None:
+        """A search state boundary with consistent bookkeeping; not a dead end."""
 
     def branch(self, state: Any, x: int) -> None:
         """The search branches on ``x``, trying it in and then out."""
@@ -53,9 +53,9 @@ class FanOut(Probe):
     def __init__(self, *probes: Probe) -> None:
         self.probes = probes
 
-    def state(self, state: Any, quiescent: bool) -> None:
+    def state(self, state: Any) -> None:
         for probe in self.probes:
-            probe.state(state, quiescent)
+            probe.state(state)
 
     def branch(self, state: Any, x: int) -> None:
         for probe in self.probes:

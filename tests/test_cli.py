@@ -348,6 +348,20 @@ def test_main_gen_and_input_conflict(tmp_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "an input file (or --gen) is required"),
+        (["--gen", "5,0.5"], "--gen takes N,P,SEED[,selfloops]"),
+    ],
+)
+def test_main_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 1
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_parse_gen_forms():
     spec = parse_gen("10,0.25,7")
     assert spec == GenSpec(n=10, p=0.25, allow_self_loops=False, seed=7)

@@ -139,6 +139,21 @@ def test_parse_tgf_duplicate_node_warns():
     assert diagnostics == [ParseDiagnostic(3, "duplicate argument '1'")]
 
 
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        # the blank line is skipped, and only the second '#' is an error
+        ("1\n\n2\n#\n#\n", "second '#' separator", 5),
+        ("a-b\n#\n", "invalid node id 'a-b'", 1),
+        ("1\n2\n#\n1 x-y\n", "invalid node id 'x-y'", 4),
+    ],
+)
+def test_parse_tgf_rejects_bad_lines(text, message, line):
+    with pytest.raises(ParseError) as excinfo:
+        parse_tgf(text)
+    assert (excinfo.value.message, excinfo.value.line) == (message, line)
+
+
 def test_parse_tgf_syntax_error_wins_over_earlier_undeclared_node():
     # names are resolved only after the whole text was lexed
     with pytest.raises(ParseError) as excinfo:

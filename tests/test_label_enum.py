@@ -159,7 +159,7 @@ def test_drain_intermediate_round(h1):
     rounds = []
 
     class Rounds(Probe):
-        def state(self, state, quiescent):
+        def state(self, state):
             rounds.append(tables(state, h1))
 
     assert drain(state, h1, Rounds())
@@ -265,15 +265,15 @@ def test_dead_root_takes_no_branch():
     events = []
 
     class Events(Recorder):
-        def state(self, state, quiescent):
-            events.append(("state", quiescent))
+        def state(self, state):
+            events.append(("state",))
 
         def branch(self, state, x):
             events.append(("branch", x))
 
     probe = Events()
     assert enumerate_extensions(f, probe=probe) == 0
-    assert events == [("state", False)]
+    assert events == []
     assert probe.dead == [(frozenset(), frozenset())]
     assert root_is_dead(initial_state(f), f)
 
@@ -408,7 +408,7 @@ class CounterIdentity(Probe):
             fresh = sum(1 for y in f.pred[t] if not f.self_loop[y] and mu[y] in (BLANK, IN))
             assert state.pi[t] == fresh, (self.events, f.names[t], state.pi[t], fresh)
 
-    def state(self, state, quiescent):
+    def state(self, state):
         self._check(state)
 
     def force(self, state, x):
@@ -551,6 +551,26 @@ def test_every_checkpoint_finds_an_empty_worklist(monkeypatch, order):
     assert queued and set(queued) == {0}
 
 
+@pytest.mark.parametrize("order", sorted(STRATEGIES))
+def test_out_branch_never_ends_at_once(monkeypatch, order):
+    # the engine asserts this lemma; the check here also runs under python -O
+    from stabenum import label_enum
+
+    results = []
+    mark = label_enum.mark_must_out
+
+    def recorded(*args, **kwargs):
+        results.append(mark(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(label_enum, "mark_must_out", recorded)
+    for seed in range(40):
+        for self_loops in (False, True):
+            f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=self_loops, seed=seed))
+            enumerate_extensions(f, STRATEGIES[order])
+    assert results and all(results)
+
+
 def test_traced_names_stay_on_the_call_path(monkeypatch):
     # perfbench's tracer wraps these module globals; a kernel that inlined
     # one of them would leave its traced counter silently at zero
@@ -588,14 +608,19 @@ def test_traced_names_stay_on_the_call_path(monkeypatch):
 
 class EventLog(Probe):
     """Records every probe event as plain JSON values: ``state`` events as
-    ``mu`` (ints), ``pi``, sorted ``gamma`` and the quiescent flag."""
+    ``mu`` (ints), ``pi``, sorted ``gamma`` and ``true``; a ``dead_end`` event
+    as ``["dead_end"]`` followed by its state record with ``false``, the
+    layout in which the digest below was pinned."""
 
     def __init__(self):
         self.events = []
 
-    def state(self, state, quiescent):
+    def _record(self, state, consistent):
         mu = [int(y) for y in state.mu]
-        self.events.append(["state", mu, list(state.pi), sorted(state.gamma), quiescent])
+        self.events.append(["state", mu, list(state.pi), sorted(state.gamma), consistent])
+
+    def state(self, state):
+        self._record(state, True)
 
     def branch(self, state, x):
         self.events.append(["branch", x])
@@ -605,6 +630,7 @@ class EventLog(Probe):
 
     def dead_end(self, state):
         self.events.append(["dead_end"])
+        self._record(state, False)
 
 
 # SHA-256 of the canonical JSON of every run below: count, extensions and the

@@ -19,7 +19,7 @@ from stabenum.set_enum import (
 )
 from stabenum.strategies import STRATEGIES, SearchStats
 
-from conftest import Recorder, frameworks, ids
+from conftest import Recorder, frameworks, h1_framework, ids
 
 
 def state(f, chosen="", defeated="", choice="", tabu=""):
@@ -209,3 +209,22 @@ def test_invariant_checker_rejects_bad_state(h1):
     bad = SetState(ids(h1, "a"), frozenset(), ids(h1, "cd"), ids(h1, "bef"))
     with pytest.raises(InvariantViolation):
         check_set_state(h1, bad)
+
+
+@pytest.mark.parametrize(
+    "f, chosen, defeated, choice, tabu, message",
+    [
+        # a attacks itself, so choosing it defeats it
+        (build(["a", "b"], [("a", "a")]), "a", "a", "", "b",
+         r"chosen and defeated overlap: \[0\]"),
+        # e attacks the chosen a, so it is settled
+        (h1_framework(), "a", "b", "cde", "f", r"choice contains settled arguments: \[4\]"),
+        (h1_framework(), "a", "b", "cd", "e", r"tabu \[4\] != complement \[4, 5\]"),
+    ],
+)
+def test_invariant_checker_names_each_partition_fault(f, chosen, defeated, choice, tabu, message):
+    from stabenum.invariants import InvariantViolation
+
+    bad = SetState(ids(f, chosen), ids(f, defeated), ids(f, choice), ids(f, tabu))
+    with pytest.raises(InvariantViolation, match=message):
+        check_set_state(f, bad)

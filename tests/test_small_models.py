@@ -3,7 +3,7 @@
 Every framework on up to three arguments, self-attacks included, and a fixed
 sample of those on four run through ``set`` and ``label`` in every branching
 order.  Each run must report the oracle's extensions once each, pass its
-state invariants at every quiescent state, force only arguments that belong
+state invariants at every state boundary, force only arguments that belong
 to every stable completion of their state and meet dead ends only where no
 completion is left; the two engines must branch on the same states and meet
 their dead ends in the same order.  Forcing sequences are not compared: the
