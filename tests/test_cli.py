@@ -281,6 +281,14 @@ def test_run_config_rejects_unknown_values(field, value):
         RunConfig(**{field: value})
 
 
+def test_run_config_defaults():
+    config = RunConfig()
+    assert (config.task, config.engine, config.format, config.order) == ("EE-ST", "label", None, "lex")
+    assert (config.check_invariants, config.trace, config.verify) == (False, None, False)
+    assert config == RunConfig("EE-ST", "label", None, "lex", False, None, False)
+    assert config != RunConfig(verify=True)
+
+
 @pytest.mark.parametrize("order", ["lex", "max-out", "max-in"])
 def test_main_trace_matches_the_golden_file(tmp_path, capsys, order):
     trace = tmp_path / "t.jsonl"

@@ -318,3 +318,13 @@ def test_parsers_look_build_up_at_call_time(monkeypatch):
     parse_apx("arg(a).")
     parse_tgf("b\n#\n")
     assert calls == [["a"], ["b"]]
+
+
+def test_parse_diagnostic_is_a_value():
+    diag = ParseDiagnostic(2, "duplicate argument 'a'")
+    assert diag == ParseDiagnostic(line=2, message="duplicate argument 'a'")
+    assert hash(diag) == hash(ParseDiagnostic(2, "duplicate argument 'a'"))
+    assert diag != ParseDiagnostic(3, "duplicate argument 'a'")
+    assert diag != ParseDiagnostic(2, "duplicate argument 'b'")
+    with pytest.raises(AttributeError):
+        diag.line = 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stabenum.framework import UnknownArgument, build, initial_partition
+from stabenum.framework import Framework, UnknownArgument, build, initial_partition
 
 import reference_apx
 from conftest import H1_ATTACKS, H1_NAMES, frameworks, ids
@@ -161,3 +161,18 @@ def test_build_repeated_self_attack():
     f = build(["y", "x"], [("x", "x"), ("x", "x")])
     assert f.attacks == ((1, 1),)
     assert f.self_loop == (False, True)
+
+
+def test_framework_is_a_value_of_its_names_and_attacks(h1):
+    twin = build(H1_NAMES, H1_ATTACKS)
+    assert twin == h1 and hash(twin) == hash(h1)
+    assert twin != build(H1_NAMES, H1_ATTACKS[1:])
+    assert build(["a", "b"], []) != build(["b", "a"], [])
+    # the adjacency is derived from names and attacks, so it takes no part
+    bare = Framework(names=h1.names, attacks=h1.attacks, succ=(), pred=(), self_loop=(), index_of={})
+    assert bare == h1 and hash(bare) == hash(h1)
+    assert h1 != (h1.names, h1.attacks)
+    with pytest.raises(AttributeError):
+        h1.names = ()
+    with pytest.raises(AttributeError):
+        h1.succ = ()

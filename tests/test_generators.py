@@ -84,3 +84,22 @@ def test_unknown_family():
 def test_family_requires_positive_size():
     with pytest.raises(ValueError):
         family("cycle", 0)
+
+
+def test_spec_is_a_hashable_value():
+    spec = GenSpec(n=4, p=0.5, seed=3)
+    assert spec == GenSpec(4, 0.5, False, 3) and hash(spec) == hash(GenSpec(4, 0.5, False, 3))
+    assert spec != GenSpec(4, 0.5, True, 3)
+    assert spec != GenSpec(4, 0.5, seed=4)
+    assert len({spec, GenSpec(4, 0.5, seed=3)}) == 1
+    with pytest.raises(AttributeError):
+        spec.n = 5
+
+
+def test_spec_validation_messages():
+    with pytest.raises(ValueError, match=r"^attack probability 1\.5 outside \[0,1\]$"):
+        GenSpec(n=3, p=1.5)
+    with pytest.raises(ValueError, match=r"^attack probability -0\.1 outside \[0,1\]$"):
+        GenSpec(n=3, p=-0.1)
+    with pytest.raises(ValueError, match="^negative argument count -1$"):
+        GenSpec(n=-1, p=0.5)

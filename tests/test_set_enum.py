@@ -228,3 +228,19 @@ def test_invariant_checker_names_each_partition_fault(f, chosen, defeated, choic
     bad = SetState(ids(f, chosen), ids(f, defeated), ids(f, choice), ids(f, tabu))
     with pytest.raises(InvariantViolation, match=message):
         check_set_state(f, bad)
+
+
+def test_set_state_is_a_value(h1):
+    s = state(h1, "a", "b", "cd", "ef")
+    assert s == SetState(chosen=ids(h1, "a"), defeated=ids(h1, "b"), choice=ids(h1, "cd"), tabu=ids(h1, "ef"))
+    assert hash(s) == hash(state(h1, "a", "b", "cd", "ef"))
+    assert s != state(h1, "a", "b", "ce", "df")
+    assert s != state(h1, "", "a", "bcd", "ef")
+    with pytest.raises(AttributeError):
+        s.chosen = frozenset()
+
+
+def test_search_stats_start_at_zero():
+    stats = SearchStats()
+    assert (stats.branches, stats.propagations) == (0, 0)
+    assert stats == SearchStats(0, 0) != SearchStats(branches=1)
