@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import label_enum, set_enum
@@ -30,33 +28,46 @@ ENGINES = ("bruteforce", "set", "label")
 FORMATS = ("apx", "tgf")
 
 
-@dataclass
 class RunConfig:
-    task: str = "EE-ST"
-    engine: str = "label"
-    format: str | None = None  # None = auto-detect from the file extension
-    order: str = "lex"
-    check_invariants: bool = False
-    trace: str | None = None
-    verify: bool = False
+    """The options of one run; a bad value raises ``ValueError`` naming its field.
 
-    def __post_init__(self) -> None:
-        for name, allowed in (("task", TASKS), ("engine", ENGINES),
-                              ("format", (None, *FORMATS)), ("order", tuple(STRATEGIES))):
-            value = getattr(self, name)
+    Configs are mutable and compare by identity.
+    """
+
+    def __init__(
+        self,
+        task: str = "EE-ST",
+        engine: str = "label",
+        format: str | None = None,  # None = auto-detect from the file extension
+        order: str = "lex",
+        check_invariants: bool = False,
+        trace: str | None = None,
+        verify: bool = False,
+    ) -> None:
+        for name, value, allowed in (("task", task, TASKS), ("engine", engine, ENGINES),
+                                     ("format", format, (None, *FORMATS)),
+                                     ("order", order, tuple(STRATEGIES))):
             if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
-        if self.trace is not None and self.engine != "label":
+        if trace is not None and engine != "label":
             raise ValueError("--trace requires the label engine")
-        if self.check_invariants and self.engine == "bruteforce":
+        if check_invariants and engine == "bruteforce":
             raise ValueError("--check-invariants requires the set or label engine")
+        self.task = task
+        self.engine = engine
+        self.format = format
+        self.order = order
+        self.check_invariants = check_invariants
+        self.trace = trace
+        self.verify = verify
 
 
 def detect_format(source: str) -> str | None:
-    if source.endswith(".apx"):
-        return "apx"
-    if source.endswith(".tgf"):
-        return "tgf"
+    """The format named by the suffix of ``source``, in any case; else None."""
+    lowered = source.lower()
+    for fmt in FORMATS:
+        if lowered.endswith("." + fmt):
+            return fmt
     return None
 
 
@@ -97,6 +108,8 @@ def execute(config: RunConfig, f: Framework) -> int:
                     check = check_set_state if engine is set_enum else check_label_state
                     probe = Checker(f, check)
                 if trace is not None:
+                    import json  # only traces need it; a cold start skips the import
+
                     tracer = label_enum.Tracer(
                         f, lambda event: trace.write(json.dumps(event) + "\n")
                     )

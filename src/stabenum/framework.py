@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 
@@ -20,7 +19,6 @@ class UnknownArgument(ValueError):
         self.line: int | None = None
 
 
-@dataclass(frozen=True)
 class Framework:
     """An immutable directed graph of arguments and attacks.
 
@@ -28,15 +26,42 @@ class Framework:
     ``names`` maps them back to their external labels.  ``succ[x]`` holds
     the targets of ``x`` and ``pred[x]`` its attackers, both sorted and
     duplicate-free.  Instances never change after :func:`build` and are
-    safe to share read-only between concurrent searches.
+    safe to share read-only between concurrent searches: assigning to a
+    field raises :class:`AttributeError`.  Two frameworks are equal, and
+    hash alike, when their ``names`` and ``attacks`` are; the other fields
+    are derived from those two.
     """
 
-    names: tuple[str, ...]
-    attacks: tuple[tuple[int, int], ...]
-    succ: tuple[tuple[int, ...], ...] = field(compare=False)
-    pred: tuple[tuple[int, ...], ...] = field(compare=False)
-    self_loop: tuple[bool, ...] = field(compare=False)
-    index_of: dict[str, int] = field(compare=False, repr=False)
+    __slots__ = ("names", "attacks", "succ", "pred", "self_loop", "index_of")
+
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        attacks: tuple[tuple[int, int], ...],
+        succ: tuple[tuple[int, ...], ...],
+        pred: tuple[tuple[int, ...], ...],
+        self_loop: tuple[bool, ...],
+        index_of: dict[str, int],
+    ) -> None:
+        for name, value in zip(self.__slots__, (names, attacks, succ, pred, self_loop, index_of)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.names == other.names and self.attacks == other.attacks
+
+    def __hash__(self) -> int:
+        return hash((self.names, self.attacks))
+
+    def __repr__(self) -> str:
+        return f"Framework(names={self.names!r}, attacks={self.attacks!r})"
 
     @property
     def n(self) -> int:

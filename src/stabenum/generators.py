@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .framework import Framework, build
 
@@ -12,20 +11,43 @@ class UnknownFamily(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GenSpec:
-    """Parameters of one random instance; equal specs yield equal frameworks."""
+    """Parameters of one random instance; equal specs yield equal frameworks.
 
-    n: int
-    p: float
-    allow_self_loops: bool = False
-    seed: int = 0
+    Specs are immutable (assigning to a field raises :class:`AttributeError`)
+    and equal, and hash alike, when all four fields are equal.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"attack probability {self.p} outside [0,1]")
-        if self.n < 0:
-            raise ValueError(f"negative argument count {self.n}")
+    __slots__ = ("n", "p", "allow_self_loops", "seed")
+
+    def __init__(self, n: int, p: float, allow_self_loops: bool = False, seed: int = 0) -> None:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"attack probability {p} outside [0,1]")
+        if n < 0:
+            raise ValueError(f"negative argument count {n}")
+        for name, value in zip(self.__slots__, (n, p, allow_self_loops, seed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple[int, float, bool, int]:
+        return (self.n, self.p, self.allow_self_loops, self.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"GenSpec(n={self.n!r}, p={self.p!r}, "
+                f"allow_self_loops={self.allow_self_loops!r}, seed={self.seed!r})")
 
 
 def argument_names(n: int) -> list[str]:

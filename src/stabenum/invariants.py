@@ -6,7 +6,6 @@ state boundary; a failure means the engine corrupted its own bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from .framework import Framework, attacked_by, attackers_of
@@ -21,12 +20,15 @@ class InvariantViolation(RuntimeError):
     """A search state broke one of its structural invariants."""
 
 
-@dataclass
 class Checker(Probe):
-    """Probe that runs ``check(f, state)`` at every search state boundary."""
+    """Probe that runs ``check(f, state)`` at every search state boundary.
 
-    f: Framework
-    check: Callable[[Framework, Any], None]
+    Checkers are mutable and compare by identity.
+    """
+
+    def __init__(self, f: Framework, check: Callable[[Framework, Any], None]) -> None:
+        self.f = f
+        self.check = check
 
     def state(self, state: Any) -> None:
         self.check(self.f, state)

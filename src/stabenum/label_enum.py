@@ -43,7 +43,6 @@ relabelled argument's targets in one pass.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import compress
 from typing import Callable, Iterable
@@ -69,7 +68,6 @@ class UnbalancedRollback(RuntimeError):
     """rollback() was called without a matching checkpoint()."""
 
 
-@dataclass
 class LabelState:
     """Mutable search state: labels, counters, worklist, undo trail.
 
@@ -83,20 +81,28 @@ class LabelState:
     each, ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
     depend on the framework alone, so they are never journalled and survive
     rollback; together they hold at most O(n + m) entries per search.
+    States compare by identity.
     """
 
-    mu: list[Label]
-    pi: list[int]
-    gamma: set[int]
-    succ: tuple[tuple[int, ...], ...]
-    trail: list[tuple[int, Label]] = field(default_factory=list)
-    checkpoints: list[tuple[int, list[int]]] = field(default_factory=list)
-    heap: list[int] = field(init=False)
-    plans: list[tuple[list[int], list[Label]] | None] = field(init=False)
+    __slots__ = ("mu", "pi", "gamma", "succ", "trail", "checkpoints", "heap", "plans")
 
-    def __post_init__(self) -> None:
-        self.heap = sorted(self.gamma)
-        self.plans = [None] * len(self.mu)
+    def __init__(
+        self,
+        mu: list[Label],
+        pi: list[int],
+        gamma: set[int],
+        succ: tuple[tuple[int, ...], ...],
+        trail: list[tuple[int, Label]] | None = None,
+        checkpoints: list[tuple[int, list[int]]] | None = None,
+    ) -> None:
+        self.mu = mu
+        self.pi = pi
+        self.gamma = gamma
+        self.succ = succ
+        self.trail = [] if trail is None else trail
+        self.checkpoints = [] if checkpoints is None else checkpoints
+        self.heap = sorted(gamma)
+        self.plans: list[tuple[list[int], list[Label]] | None] = [None] * len(mu)
 
     def gamma_add(self, x: int) -> bool:
         """Enqueue ``x``; returns False if it was already queued."""

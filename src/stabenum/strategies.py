@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .framework import Framework
@@ -70,12 +69,15 @@ class FanOut(Probe):
             probe.dead_end(state)
 
 
-@dataclass
 class SearchStats(Probe):
-    """Probe that counts branches and forced arguments (propagations)."""
+    """Probe that counts branches and forced arguments (propagations).
 
-    branches: int = 0
-    propagations: int = 0
+    Stats are mutable and compare by identity.
+    """
+
+    def __init__(self, branches: int = 0, propagations: int = 0) -> None:
+        self.branches = branches
+        self.propagations = propagations
 
     def branch(self, state: Any, x: int) -> None:
         self.branches += 1

@@ -56,6 +56,13 @@ def test_unknown_format_is_config_error(capsys):
     assert "format" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["H1.APX", "h1.Apx", "H1.Tgf"])
+def test_format_detection_ignores_the_case_of_the_suffix(source, capsys):
+    text = H1_TGF if source.endswith("gf") else H1_APX
+    assert run(RunConfig(), text, source=source) == 0
+    assert capsys.readouterr().out == "[a,c,d]\n[b,e]\n"
+
+
 def test_count_task_on_empty_framework(capsys):
     code = run(RunConfig(task="CE-ST", format="apx"), "")
     output = capsys.readouterr().out
@@ -285,8 +292,23 @@ def test_run_config_defaults():
     config = RunConfig()
     assert (config.task, config.engine, config.format, config.order) == ("EE-ST", "label", None, "lex")
     assert (config.check_invariants, config.trace, config.verify) == (False, None, False)
-    assert config == RunConfig("EE-ST", "label", None, "lex", False, None, False)
-    assert config != RunConfig(verify=True)
+
+
+def test_cold_start_imports_neither_dataclasses_nor_json():
+    # a solver harness starts one process per framework, so every run pays
+    # for the package's imports; json is needed only by --trace
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from stabenum import cli; "
+        "code = cli.main([sys.argv[2]]); "
+        "print(code, sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-E", "-s", "-c", child, str(src), str(DATA_DIR / "h1.apx")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[a,c,d]\n[b,e]\n0 []\n"
 
 
 @pytest.mark.parametrize("order", ["lex", "max-out", "max-in"])

@@ -243,4 +243,3 @@ def test_set_state_is_a_value(h1):
 def test_search_stats_start_at_zero():
     stats = SearchStats()
     assert (stats.branches, stats.propagations) == (0, 0)
-    assert stats == SearchStats(0, 0) != SearchStats(branches=1)
