@@ -26,15 +26,14 @@ from functools import cache
 from itertools import accumulate
 from typing import IO, Callable, Iterable, Sequence
 
-from .framework import Framework, UnknownArgument, build
+from .framework import Framework, Frozen, UnknownArgument, build
 
 
-class ParseDiagnostic:
+class ParseDiagnostic(Frozen):
     """A warning about the input; ``line`` is 1-based.
 
-    Diagnostics are immutable (assigning to a field raises
-    :class:`AttributeError`) and equal, and hash alike, when their line and
-    message are.
+    Diagnostics are immutable (see :class:`~stabenum.framework.Frozen`) and
+    equal, and hash alike, when their line and message are.
     """
 
     __slots__ = ("line", "message")
@@ -43,19 +42,8 @@ class ParseDiagnostic:
         object.__setattr__(self, "line", line)
         object.__setattr__(self, "message", message)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.line, self.message) == (other.line, other.message)
-
-    def __hash__(self) -> int:
-        return hash((self.line, self.message))
+    def _key(self) -> tuple[int, str]:
+        return (self.line, self.message)
 
     def __repr__(self) -> str:
         return f"ParseDiagnostic(line={self.line!r}, message={self.message!r})"

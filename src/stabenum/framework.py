@@ -1,4 +1,7 @@
-"""Directed attack graphs with constant-time access to attackers and targets."""
+"""Directed attack graphs with constant-time access to attackers and targets.
+
+Also home to :class:`Frozen`, the base of the package's immutable values.
+"""
 
 from __future__ import annotations
 
@@ -19,17 +22,47 @@ class UnknownArgument(ValueError):
         self.line: int | None = None
 
 
-class Framework:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass declares its fields in ``__slots__``, sets each once in
+    ``__init__`` through ``object.__setattr__`` and names in ``_key()`` the
+    fields that make up its value: instances of one class are equal, and
+    hash alike, when their keys are.  Assigning to or deleting a field
+    raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Framework(Frozen):
     """An immutable directed graph of arguments and attacks.
 
     Argument indices are dense, contiguous and follow declaration order;
     ``names`` maps them back to their external labels.  ``succ[x]`` holds
     the targets of ``x`` and ``pred[x]`` its attackers, both sorted and
     duplicate-free.  Instances never change after :func:`build` and are
-    safe to share read-only between concurrent searches: assigning to a
-    field raises :class:`AttributeError`.  Two frameworks are equal, and
-    hash alike, when their ``names`` and ``attacks`` are; the other fields
-    are derived from those two.
+    safe to share read-only between concurrent searches (see
+    :class:`Frozen`).  Two frameworks are equal, and hash alike, when their
+    ``names`` and ``attacks`` are; the other fields are derived from those
+    two.
     """
 
     __slots__ = ("names", "attacks", "succ", "pred", "self_loop", "index_of")
@@ -46,19 +79,8 @@ class Framework:
         for name, value in zip(self.__slots__, (names, attacks, succ, pred, self_loop, index_of)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.names == other.names and self.attacks == other.attacks
-
-    def __hash__(self) -> int:
-        return hash((self.names, self.attacks))
+    def _key(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
+        return (self.names, self.attacks)
 
     def __repr__(self) -> str:
         return f"Framework(names={self.names!r}, attacks={self.attacks!r})"

@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import random
 
-from .framework import Framework, build
+from .framework import Framework, Frozen, build
 
 
 class UnknownFamily(ValueError):
     pass
 
 
-class GenSpec:
+class GenSpec(Frozen):
     """Parameters of one random instance; equal specs yield equal frameworks.
 
-    Specs are immutable (assigning to a field raises :class:`AttributeError`)
-    and equal, and hash alike, when all four fields are equal.
+    Specs are immutable (see :class:`~stabenum.framework.Frozen`) and equal,
+    and hash alike, when all four fields are equal.
     """
 
     __slots__ = ("n", "p", "allow_self_loops", "seed")
@@ -28,22 +28,8 @@ class GenSpec:
         for name, value in zip(self.__slots__, (n, p, allow_self_loops, seed)):
             object.__setattr__(self, name, value)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple[int, float, bool, int]:
+    def _key(self) -> tuple[int, float, bool, int]:
         return (self.n, self.p, self.allow_self_loops, self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def __repr__(self) -> str:
         return (f"GenSpec(n={self.n!r}, p={self.p!r}, "

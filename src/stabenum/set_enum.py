@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .framework import Framework, attacked_by, attackers_of, initial_partition
+from .framework import Framework, Frozen, attacked_by, attackers_of, initial_partition
 from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
 
 
-class SetState:
+class SetState(Frozen):
     """One search state: four disjoint argument sets.
 
-    States are immutable (assigning to a field raises
-    :class:`AttributeError`) and equal, and hash alike, when all four sets
-    are equal.
+    States are immutable (see :class:`~stabenum.framework.Frozen`) and
+    equal, and hash alike, when all four sets are equal.
     """
 
     __slots__ = ("chosen", "defeated", "choice", "tabu")
@@ -41,22 +40,8 @@ class SetState:
         set_field(self, "choice", choice)
         set_field(self, "tabu", tabu)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _sets(self) -> tuple[frozenset[int], ...]:
+    def _key(self) -> tuple[frozenset[int], ...]:
         return (self.chosen, self.defeated, self.choice, self.tabu)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._sets() == other._sets()
-
-    def __hash__(self) -> int:
-        return hash(self._sets())
 
     def __repr__(self) -> str:
         return (f"SetState(chosen={self.chosen!r}, defeated={self.defeated!r}, "
