@@ -39,8 +39,7 @@ class ParseDiagnostic(Frozen):
     __slots__ = ("line", "message")
 
     def __init__(self, line: int, message: str) -> None:
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "message", message)
+        self._fill(line, message)
 
     def _key(self) -> tuple[int, str]:
         return (self.line, self.message)

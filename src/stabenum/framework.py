@@ -25,14 +25,19 @@ class UnknownArgument(ValueError):
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass declares its fields in ``__slots__``, sets each once in
-    ``__init__`` through ``object.__setattr__`` and names in ``_key()`` the
-    fields that make up its value: instances of one class are equal, and
-    hash alike, when their keys are.  Assigning to or deleting a field
-    raises :class:`AttributeError`.
+    A subclass declares its fields in ``__slots__``, sets them once in
+    ``__init__`` through :meth:`_fill` and names in ``_key()`` the fields
+    that make up its value: instances of one class are equal, and hash
+    alike, when their keys are.  Assigning to or deleting a field raises
+    :class:`AttributeError`.
     """
 
     __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
         raise NotImplementedError
@@ -76,8 +81,7 @@ class Framework(Frozen):
         self_loop: tuple[bool, ...],
         index_of: dict[str, int],
     ) -> None:
-        for name, value in zip(self.__slots__, (names, attacks, succ, pred, self_loop, index_of)):
-            object.__setattr__(self, name, value)
+        self._fill(names, attacks, succ, pred, self_loop, index_of)
 
     def _key(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
         return (self.names, self.attacks)

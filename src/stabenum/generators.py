@@ -25,8 +25,7 @@ class GenSpec(Frozen):
             raise ValueError(f"attack probability {p} outside [0,1]")
         if n < 0:
             raise ValueError(f"negative argument count {n}")
-        for name, value in zip(self.__slots__, (n, p, allow_self_loops, seed)):
-            object.__setattr__(self, name, value)
+        self._fill(n, p, allow_self_loops, seed)
 
     def _key(self) -> tuple[int, float, bool, int]:
         return (self.n, self.p, self.allow_self_loops, self.seed)

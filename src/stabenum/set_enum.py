@@ -34,11 +34,7 @@ class SetState(Frozen):
         choice: frozenset[int],
         tabu: frozenset[int],
     ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "chosen", chosen)
-        set_field(self, "defeated", defeated)
-        set_field(self, "choice", choice)
-        set_field(self, "tabu", tabu)
+        self._fill(chosen, defeated, choice, tabu)
 
     def _key(self) -> tuple[frozenset[int], ...]:
         return (self.chosen, self.defeated, self.choice, self.tabu)
