@@ -294,6 +294,25 @@ def test_run_config_defaults():
     assert (config.check_invariants, config.trace, config.verify) == (False, None, False)
 
 
+def test_every_option_reaches_the_run_config(tmp_path, monkeypatch):
+    path = tmp_path / "h1.apx"
+    path.write_text(H1_APX)
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config, text, source: configs.append(config) or 0)
+    assert main([str(path)]) == 0
+    default = configs.pop()
+    assert (default.task, default.engine, default.format, default.order) == ("EE-ST", "label", None, "lex")
+    assert (default.check_invariants, default.trace, default.verify) == (False, None, False)
+    assert main([str(path), "--task", "CE-ST", "--engine", "set", "--format", "apx",
+                 "--order", "max-in", "--verify", "--check-invariants"]) == 0
+    config = configs.pop()
+    assert (config.task, config.engine, config.format, config.order) == ("CE-ST", "set", "apx", "max-in")
+    assert (config.check_invariants, config.trace, config.verify) == (True, None, True)
+    trace = str(tmp_path / "t.jsonl")
+    assert main([str(path), "--trace", trace]) == 0
+    assert configs.pop().trace == trace
+
+
 def test_cold_start_imports_neither_dataclasses_nor_json():
     # a solver harness starts one process per framework, so every run pays
     # for the package's imports; json is needed only by --trace

@@ -328,3 +328,8 @@ def test_parse_diagnostic_is_a_value():
     assert diag != ParseDiagnostic(2, "duplicate argument 'b'")
     with pytest.raises(AttributeError):
         diag.line = 3
+
+
+def test_parse_diagnostic_repr():
+    diag = ParseDiagnostic(2, "duplicate argument 'a'")
+    assert repr(diag) == "ParseDiagnostic(line=2, message=\"duplicate argument 'a'\")"

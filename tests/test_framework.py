@@ -176,3 +176,8 @@ def test_framework_is_a_value_of_its_names_and_attacks(h1):
         h1.names = ()
     with pytest.raises(AttributeError):
         h1.succ = ()
+
+
+def test_framework_repr_shows_its_names_and_attacks():
+    f = build(["a", "b"], [("a", "b"), ("b", "b")])
+    assert repr(f) == "Framework(names=('a', 'b'), attacks=((0, 1), (1, 1)))"

@@ -103,3 +103,7 @@ def test_spec_validation_messages():
         GenSpec(n=3, p=-0.1)
     with pytest.raises(ValueError, match="^negative argument count -1$"):
         GenSpec(n=-1, p=0.5)
+
+
+def test_spec_repr():
+    assert repr(GenSpec(n=4, p=0.5, seed=3)) == "GenSpec(n=4, p=0.5, allow_self_loops=False, seed=3)"

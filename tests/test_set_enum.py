@@ -243,3 +243,10 @@ def test_set_state_is_a_value(h1):
 def test_search_stats_start_at_zero():
     stats = SearchStats()
     assert (stats.branches, stats.propagations) == (0, 0)
+
+
+def test_set_state_repr(h1):
+    assert repr(state(h1, "a", "b", "cd")) == (
+        "SetState(chosen=frozenset({0}), defeated=frozenset({1}), "
+        "choice=frozenset({2, 3}), tabu=frozenset())"
+    )
