@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import label_enum, set_enum
 from .formats import ParseDiagnostic, ParseError, parse_apx, parse_tgf, write_extensions
-from .framework import Framework, UnknownArgument
+from .framework import Framework, Frozen, UnknownArgument
 from .generators import GenSpec, random_af
 from .invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from .oracle import TooLarge, enumerate_bruteforce, is_stable
@@ -28,11 +28,15 @@ ENGINES = ("bruteforce", "set", "label")
 FORMATS = ("apx", "tgf")
 
 
-class RunConfig:
+class RunConfig(Frozen):
     """The options of one run; a bad value raises ``ValueError`` naming its field.
 
-    Configs are mutable and compare by identity.
+    The defaults are the CLI's.  Configs are immutable values (see
+    :class:`~stabenum.framework.Frozen`): equal, and hashing alike, when all
+    seven fields are equal.
     """
+
+    __slots__ = ("task", "engine", "format", "order", "check_invariants", "trace", "verify")
 
     def __init__(
         self,
@@ -53,13 +57,7 @@ class RunConfig:
             raise ValueError("--trace requires the label engine")
         if check_invariants and engine == "bruteforce":
             raise ValueError("--check-invariants requires the set or label engine")
-        self.task = task
-        self.engine = engine
-        self.format = format
-        self.order = order
-        self.check_invariants = check_invariants
-        self.trace = trace
-        self.verify = verify
+        self._fill(task, engine, format, order, check_invariants, trace, verify)
 
 
 def detect_format(source: str) -> str | None:
@@ -191,17 +189,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # an option left off the command line is missing from the namespace, so
+    # RunConfig supplies every default
     parser = _ArgumentParser(
         prog="stabenum",
         description="Enumerate the stable extensions of an argumentation framework.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("input", nargs="?", help="framework file (.apx or .tgf)")
-    parser.add_argument("--task", choices=TASKS, default="EE-ST",
+    parser.add_argument("--task", choices=TASKS,
                         help="enumerate all (EE-ST), find one (SE-ST) or count (CE-ST)")
-    parser.add_argument("--engine", choices=ENGINES, default="label")
+    parser.add_argument("--engine", choices=ENGINES)
     parser.add_argument("--format", choices=FORMATS,
                         help="input format (default: by file extension)")
-    parser.add_argument("--order", choices=tuple(STRATEGIES), default="lex",
+    parser.add_argument("--order", choices=tuple(STRATEGIES),
                         help="branching argument selection")
     parser.add_argument("--verify", action="store_true",
                         help="re-check every reported extension against the definition")
@@ -217,41 +218,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    options = vars(parser.parse_args(argv))
+    source = options.pop("input", None)
+    gen = options.pop("gen", None)
     try:
-        config = RunConfig(
-            task=args.task,
-            engine=args.engine,
-            format=args.format,
-            order=args.order,
-            check_invariants=args.check_invariants,
-            trace=args.trace,
-            verify=args.verify,
-        )
+        config = RunConfig(**options)
     except ValueError as exc:
         parser.error(str(exc))
 
-    if args.gen is not None:
-        if args.input is not None:
+    if gen is not None:
+        if source is not None:
             parser.error("pass either an input file or --gen, not both")
         try:
-            spec = parse_gen(args.gen)
+            spec = parse_gen(gen)
         except ValueError as exc:
             parser.error(str(exc))
         return execute(config, random_af(spec))
-    if args.input is None:
+    if source is None:
         parser.error("an input file (or --gen) is required")
     try:
-        with open(args.input, "r", encoding="utf-8-sig") as handle:
+        with open(source, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except OSError as exc:
         print(f"stabenum: {exc}", file=sys.stderr)
         return 1
     except UnicodeDecodeError as exc:
-        print(f"stabenum: {args.input}: not UTF-8 text: {exc}", file=sys.stderr)
+        print(f"stabenum: {source}: not UTF-8 text: {exc}", file=sys.stderr)
         return 1
-    return run(config, text, source=args.input)
+    return run(config, text, source=source)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -41,12 +41,6 @@ class ParseDiagnostic(Frozen):
     def __init__(self, line: int, message: str) -> None:
         self._fill(line, message)
 
-    def _key(self) -> tuple[int, str]:
-        return (self.line, self.message)
-
-    def __repr__(self) -> str:
-        return f"ParseDiagnostic(line={self.line!r}, message={self.message!r})"
-
 
 class ParseError(ValueError):
     """Malformed input; ``line`` is 1-based."""

@@ -25,14 +25,21 @@ class UnknownArgument(ValueError):
 class Frozen:
     """Base of the immutable value classes.
 
-    A subclass declares its fields in ``__slots__``, sets them once in
-    ``__init__`` through :meth:`_fill` and names in ``_key()`` the fields
-    that make up its value: instances of one class are equal, and hash
-    alike, when their keys are.  Assigning to or deleting a field raises
-    :class:`AttributeError`.
+    A subclass declares its fields in ``__slots__`` and sets them once in
+    ``__init__`` through :meth:`_fill`.  Its value is its fields in slot
+    order, or only those named in ``_value_fields`` when the class sets it:
+    instances of one class are equal, and hash alike, when their values
+    are, and the repr shows the value as keyword arguments.  Assigning to or
+    deleting a field raises :class:`AttributeError`.
     """
 
     __slots__ = ()
+    _value_fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_value_fields" not in vars(cls):
+            cls._value_fields = cls.__slots__
 
     def _fill(self, *values: object) -> None:
         """Set the fields, in ``__slots__`` order."""
@@ -40,7 +47,11 @@ class Frozen:
             object.__setattr__(self, name, value)
 
     def _key(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self._value_fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._value_fields)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -71,6 +82,7 @@ class Framework(Frozen):
     """
 
     __slots__ = ("names", "attacks", "succ", "pred", "self_loop", "index_of")
+    _value_fields = ("names", "attacks")
 
     def __init__(
         self,
@@ -82,12 +94,6 @@ class Framework(Frozen):
         index_of: dict[str, int],
     ) -> None:
         self._fill(names, attacks, succ, pred, self_loop, index_of)
-
-    def _key(self) -> tuple[tuple[str, ...], tuple[tuple[int, int], ...]]:
-        return (self.names, self.attacks)
-
-    def __repr__(self) -> str:
-        return f"Framework(names={self.names!r}, attacks={self.attacks!r})"
 
     @property
     def n(self) -> int:

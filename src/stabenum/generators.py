@@ -27,13 +27,6 @@ class GenSpec(Frozen):
             raise ValueError(f"negative argument count {n}")
         self._fill(n, p, allow_self_loops, seed)
 
-    def _key(self) -> tuple[int, float, bool, int]:
-        return (self.n, self.p, self.allow_self_loops, self.seed)
-
-    def __repr__(self) -> str:
-        return (f"GenSpec(n={self.n!r}, p={self.p!r}, "
-                f"allow_self_loops={self.allow_self_loops!r}, seed={self.seed!r})")
-
 
 def argument_names(n: int) -> list[str]:
     return [f"a{i}" for i in range(n)]

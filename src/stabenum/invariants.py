@@ -6,14 +6,12 @@ state boundary; a failure means the engine corrupted its own bookkeeping.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from .framework import Framework, attacked_by, attackers_of
+from .label_enum import BLANK, IN, MUST_OUT, OUT, LabelState
+from .set_enum import SetState
 from .strategies import Probe
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .label_enum import LabelState
-    from .set_enum import SetState
 
 
 class InvariantViolation(RuntimeError):
@@ -61,12 +59,12 @@ def _check_partition(
         raise InvariantViolation(f"tabu {sorted(tabu)} != complement {sorted(expected_tabu)}")
 
 
-def check_set_state(f: Framework, state: "SetState") -> None:
+def check_set_state(f: Framework, state: SetState) -> None:
     """Validate the four-set search state of the set-based engine."""
     _check_partition(f, state.chosen, state.defeated, state.choice, state.tabu)
 
 
-def check_label_state(f: Framework, state: "LabelState") -> None:
+def check_label_state(f: Framework, state: LabelState) -> None:
     """Validate labels and counters of the label-based engine.
 
     Checks the label partition against the set-based invariants, that
@@ -78,8 +76,6 @@ def check_label_state(f: Framework, state: "LabelState") -> None:
     checks the engine's own bookkeeping: every queued argument is on the
     worklist heap.
     """
-    from .label_enum import BLANK, IN, MUST_OUT, OUT
-
     universe = range(f.n)
     ins = frozenset(x for x in universe if state.mu[x] == IN)
     outs = frozenset(x for x in universe if state.mu[x] == OUT)

@@ -71,9 +71,9 @@ class UnbalancedRollback(RuntimeError):
 class LabelState:
     """Mutable search state: labels, counters, worklist, undo trail.
 
-    ``succ`` is ``f.succ``.  ``heap`` holds every queued argument, plus stale
-    entries of arguments that have left ``gamma``; they are dropped when they
-    reach the top.
+    ``succ`` is ``f.succ``; the worklist and the trail start empty.
+    ``heap`` holds every queued argument, plus stale entries of arguments
+    that have left ``gamma``; they are dropped when they reach the top.
     The trail journals ``(x, old label)`` only, written where :func:`assign_in`
     and :func:`_leave_blank` relabel; a checkpoint also saves ``gamma``.
     ``plans[q]`` is ``None`` until :func:`assign_in` first assigns ``q``,
@@ -86,22 +86,14 @@ class LabelState:
 
     __slots__ = ("mu", "pi", "gamma", "succ", "trail", "checkpoints", "heap", "plans")
 
-    def __init__(
-        self,
-        mu: list[Label],
-        pi: list[int],
-        gamma: set[int],
-        succ: tuple[tuple[int, ...], ...],
-        trail: list[tuple[int, Label]] | None = None,
-        checkpoints: list[tuple[int, list[int]]] | None = None,
-    ) -> None:
+    def __init__(self, mu: list[Label], pi: list[int], succ: tuple[tuple[int, ...], ...]) -> None:
         self.mu = mu
         self.pi = pi
-        self.gamma = gamma
         self.succ = succ
-        self.trail = [] if trail is None else trail
-        self.checkpoints = [] if checkpoints is None else checkpoints
-        self.heap = sorted(gamma)
+        self.gamma: set[int] = set()
+        self.heap: list[int] = []
+        self.trail: list[tuple[int, Label]] = []
+        self.checkpoints: list[tuple[int, list[int]]] = []
         self.plans: list[tuple[list[int], list[Label]] | None] = [None] * len(mu)
 
     def gamma_add(self, x: int) -> bool:
@@ -225,7 +217,7 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     for y in compress(range(f.n), f.self_loop):
         for t in f.succ[y]:
             pi[t] -= 1
-    state = LabelState(mu=mu, pi=pi, gamma=set(), succ=f.succ)
+    state = LabelState(mu, pi, f.succ)
     _fire(state, f, range(f.n), probe)
     return state
 

@@ -36,13 +36,6 @@ class SetState(Frozen):
     ) -> None:
         self._fill(chosen, defeated, choice, tabu)
 
-    def _key(self) -> tuple[frozenset[int], ...]:
-        return (self.chosen, self.defeated, self.choice, self.tabu)
-
-    def __repr__(self) -> str:
-        return (f"SetState(chosen={self.chosen!r}, defeated={self.defeated!r}, "
-                f"choice={self.choice!r}, tabu={self.tabu!r})")
-
 
 def start_state(f: Framework) -> SetState:
     choice, tabu = initial_partition(f)

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from collections.abc import Sequence
+from typing import Any, Callable
 
 from .framework import Framework
 
@@ -12,10 +13,15 @@ BranchOrder = Callable[[Framework], Sequence[int]]
 
 
 def search_order(f: Framework, pick: BranchOrder, limit: int | None) -> Sequence[int]:
-    """The order ``pick(f)``; ``ValueError`` for a limit below 1 or a non-permutation."""
+    """The order ``pick(f)``; ``ValueError`` for a limit below 1, or for an order
+    that is not a sequence or not a permutation."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     order = pick(f)
+    if not isinstance(order, Sequence):
+        # an iterator would be used up by the check below
+        raise ValueError(f"branching order is not a permutation of range({f.n}) "
+                         f"in a sequence: got {type(order).__name__}")
     if sorted(order) != list(range(f.n)):
         raise ValueError(f"branching order is not a permutation of range({f.n})")
     return order
@@ -75,9 +81,9 @@ class SearchStats(Probe):
     Stats are mutable and compare by identity.
     """
 
-    def __init__(self, branches: int = 0, propagations: int = 0) -> None:
-        self.branches = branches
-        self.propagations = propagations
+    def __init__(self) -> None:
+        self.branches = 0
+        self.propagations = 0
 
     def branch(self, state: Any, x: int) -> None:
         self.branches += 1

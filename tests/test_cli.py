@@ -294,23 +294,36 @@ def test_run_config_defaults():
     assert (config.check_invariants, config.trace, config.verify) == (False, None, False)
 
 
+def test_run_config_is_a_value():
+    config = RunConfig(task="CE-ST", verify=True)
+    assert config == RunConfig("CE-ST", verify=True) and hash(config) == hash(RunConfig("CE-ST", verify=True))
+    assert config != RunConfig(task="CE-ST")
+    assert RunConfig() == RunConfig() and len({RunConfig(), RunConfig()}) == 1
+    assert repr(config) == (
+        "RunConfig(task='CE-ST', engine='label', format=None, order='lex', "
+        "check_invariants=False, trace=None, verify=True)"
+    )
+    with pytest.raises(AttributeError):
+        config.task = "EE-ST"
+    with pytest.raises(AttributeError):
+        config.trace = "t.jsonl"
+
+
 def test_every_option_reaches_the_run_config(tmp_path, monkeypatch):
     path = tmp_path / "h1.apx"
     path.write_text(H1_APX)
     configs = []
     monkeypatch.setattr(cli, "run", lambda config, text, source: configs.append(config) or 0)
     assert main([str(path)]) == 0
-    default = configs.pop()
-    assert (default.task, default.engine, default.format, default.order) == ("EE-ST", "label", None, "lex")
-    assert (default.check_invariants, default.trace, default.verify) == (False, None, False)
+    assert configs.pop() == RunConfig()
     assert main([str(path), "--task", "CE-ST", "--engine", "set", "--format", "apx",
                  "--order", "max-in", "--verify", "--check-invariants"]) == 0
-    config = configs.pop()
-    assert (config.task, config.engine, config.format, config.order) == ("CE-ST", "set", "apx", "max-in")
-    assert (config.check_invariants, config.trace, config.verify) == (True, None, True)
+    assert configs.pop() == RunConfig(task="CE-ST", engine="set", format="apx", order="max-in",
+                                      check_invariants=True, verify=True)
     trace = str(tmp_path / "t.jsonl")
     assert main([str(path), "--trace", trace]) == 0
-    assert configs.pop().trace == trace
+    assert configs.pop() == RunConfig(trace=trace)
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 def test_cold_start_imports_neither_dataclasses_nor_json():

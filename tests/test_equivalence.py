@@ -133,14 +133,21 @@ def test_limit_below_one_is_rejected(engine, limit):
 
 
 @pytest.mark.parametrize(
-    "order",
-    [[0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 4]],
-    ids=["missing", "repeated", "out-of-range"],
+    "pick",
+    [
+        lambda f: [0, 1, 2],
+        lambda f: [0, 1, 2, 3, 3],
+        lambda f: [0, 1, 2, 4],
+        # one-shot iterables: the right arguments, but not a sequence
+        lambda f: iter(range(f.n)),
+        lambda f: (x for x in range(f.n)),
+    ],
+    ids=["missing", "repeated", "out-of-range", "iterator", "generator"],
 )
 @pytest.mark.parametrize("engine", [set_enum, label_enum])
-def test_order_that_is_not_a_permutation_is_rejected(engine, order):
+def test_order_that_is_not_a_permutation_is_rejected(engine, pick):
     f = pairs_framework(4)
     found: list = []
     with pytest.raises(ValueError, match="not a permutation"):
-        engine.enumerate_extensions(f, lambda f: order, found.append)
+        engine.enumerate_extensions(f, pick, found.append)
     assert found == []
