@@ -13,9 +13,9 @@ import argparse
 import contextlib
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from . import label_enum, set_enum
+from . import label_enum, set_enum, split
 from .formats import ParseDiagnostic, ParseError, parse_apx, parse_tgf, write_extensions
 from .framework import Framework, Frozen, UnknownArgument
 from .generators import GenSpec, random_af
@@ -77,7 +77,9 @@ def execute(config: RunConfig, f: Framework) -> int:
     """Enumerate on an already-built framework; returns the exit code.
 
     The engine's sink verifies (with ``--verify``) and writes each extension
-    to ``sys.stdout`` as it is found.
+    to ``sys.stdout`` as it is found.  ``EE-ST`` and ``CE-ST`` without a
+    probe search each independent part of the order apart (see
+    :mod:`~stabenum.split`), with the same output.
     """
     limit = 1 if config.task == "SE-ST" else None
     verify, write = config.verify, config.task != "CE-ST"
@@ -113,9 +115,12 @@ def execute(config: RunConfig, f: Framework) -> int:
                     )
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
                 sink = report if verify or write else None
-                count = engine.enumerate_extensions(
-                    f, STRATEGIES[config.order], sink, probe=probe, limit=limit
-                )
+                if probe is NO_PROBE and limit is None:
+                    count = split.enumerate_extensions(engine, f, STRATEGIES[config.order], sink)
+                else:
+                    count = engine.enumerate_extensions(
+                        f, STRATEGIES[config.order], sink, probe=probe, limit=limit
+                    )
         if config.task == "CE-ST":
             sys.stdout.write(f"COUNT {count}\n")
         elif config.task == "SE-ST" and count == 0:

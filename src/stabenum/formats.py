@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Callable, Iterable, Sequence
 from functools import cache
+from io import TextIOBase
 from itertools import accumulate
-from typing import IO, Callable, Iterable, Sequence
 
 from .framework import Framework, Frozen, UnknownArgument, build
 
@@ -181,11 +182,11 @@ def write_tgf(f: Framework) -> str:
 
 def format_extension(members: Iterable[int], names: Sequence[str]) -> str:
     """Render one extension as ``[name1,name2,...]`` in argument-index order."""
-    return "[" + ",".join(names[x] for x in sorted(members)) + "]"
+    return "[" + ",".join([names[x] for x in sorted(members)]) + "]"
 
 
 def write_extensions(
-    extensions: Iterable[Iterable[int]], names: Sequence[str], sink: IO[str]
+    extensions: Iterable[Iterable[int]], names: Sequence[str], sink: TextIOBase
 ) -> str:
     """Write extensions to ``sink``, one per line; returns the text written."""
     text = "".join([format_extension(ext, names) + "\n" for ext in extensions])

@@ -5,7 +5,7 @@ Also home to :class:`Frozen`, the base of the package's immutable values.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 
 class UnknownArgument(ValueError):

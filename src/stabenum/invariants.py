@@ -6,7 +6,7 @@ state boundary; a failure means the engine corrupted its own bookkeeping.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections.abc import Callable
 
 from .framework import Framework, attacked_by, attackers_of
 from .label_enum import BLANK, IN, MUST_OUT, OUT, LabelState
@@ -24,11 +24,15 @@ class Checker(Probe):
     Checkers are mutable and compare by identity.
     """
 
-    def __init__(self, f: Framework, check: Callable[[Framework, Any], None]) -> None:
+    def __init__(
+        self,
+        f: Framework,
+        check: Callable[[Framework, LabelState], None] | Callable[[Framework, SetState], None],
+    ) -> None:
         self.f = f
         self.check = check
 
-    def state(self, state: Any) -> None:
+    def state(self, state: LabelState | SetState) -> None:
         self.check(self.f, state)
 
 

@@ -43,9 +43,9 @@ relabelled argument's targets in one pass.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterable
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Callable, Iterable
 
 from .framework import Framework
 from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
@@ -81,10 +81,11 @@ class LabelState:
     each, ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
     depend on the framework alone, so they are never journalled and survive
     rollback; together they hold at most O(n + m) entries per search.
-    States compare by identity.
+    ``dead_root`` is True when the triggers of :func:`initial_state` met a
+    dead end.  States compare by identity.
     """
 
-    __slots__ = ("mu", "pi", "gamma", "succ", "trail", "checkpoints", "heap", "plans")
+    __slots__ = ("mu", "pi", "gamma", "succ", "trail", "checkpoints", "heap", "plans", "dead_root")
 
     def __init__(self, mu: list[Label], pi: list[int], succ: tuple[tuple[int, ...], ...]) -> None:
         self.mu = mu
@@ -95,6 +96,7 @@ class LabelState:
         self.trail: list[tuple[int, Label]] = []
         self.checkpoints: list[tuple[int, list[int]]] = []
         self.plans: list[tuple[list[int], list[Label]] | None] = [None] * len(mu)
+        self.dead_root = False
 
     def gamma_add(self, x: int) -> bool:
         """Enqueue ``x``; returns False if it was already queued."""
@@ -208,23 +210,33 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     """Label self-attackers must-out, everything else blank; seed the worklist.
 
     Every argument fires its triggers.  A self-attacker without another
-    attacker makes the root a dead end: ``probe`` is told and the remaining
-    triggers are skipped; :func:`root_is_dead` recognises such a state.
+    attacker makes the root a dead end: ``probe`` is told, the remaining
+    triggers are skipped and the state's ``dead_root`` is True.
     """
-    mu = [MUST_OUT if loop else BLANK for loop in f.self_loop]
+    mu = [BLANK] * f.n
     # pi counts the attackers that are not self-attackers
-    pi = [len(attackers) for attackers in f.pred]
-    for y in compress(range(f.n), f.self_loop):
+    pi = list(map(len, f.pred))
+    loops = list(compress(range(f.n), f.self_loop))
+    for y in loops:
+        mu[y] = MUST_OUT
         for t in f.succ[y]:
             pi[t] -= 1
     state = LabelState(mu, pi, f.succ)
-    _fire(state, f, range(f.n), probe)
+    # firing at the root only queues arguments, and only self-attackers and
+    # arguments without a counted attacker can fire there
+    state.dead_root = not _fire(state, f, sorted({*loops, *_positions(pi, 0)}), probe)
     return state
 
 
-def root_is_dead(state: LabelState, f: Framework) -> bool:
-    """True iff a self-attacker of the :func:`initial_state` has no blank attacker."""
-    return 0 in compress(state.pi, f.self_loop)
+def _positions(values: list[int], value: int) -> list[int]:
+    """The positions of ``value`` in ``values``, ascending, found in one C-level scan."""
+    found, x = [], -1
+    try:
+        while True:
+            x = values.index(value, x + 1)
+            found.append(x)
+    except ValueError:
+        return found
 
 
 def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
@@ -330,7 +342,7 @@ def enumerate_extensions(
     order = search_order(f, pick, limit)
     n = len(order)
     state = initial_state(f, probe)
-    if root_is_dead(state, f):
+    if state.dead_root:
         return 0
     found = 0
     # every argument before the cursor in ``order`` is labelled; labels only

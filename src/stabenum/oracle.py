@@ -10,7 +10,7 @@ its complement.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .framework import Framework
 

@@ -12,7 +12,7 @@ values copied per branch.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .framework import Framework, Frozen, attacked_by, attackers_of, initial_partition
 from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from typing import Any, Callable
+from collections.abc import Callable, Sequence
 
 from .framework import Framework
 
@@ -18,6 +17,8 @@ def search_order(f: Framework, pick: BranchOrder, limit: int | None) -> Sequence
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     order = pick(f)
+    if type(order) is range and order == range(f.n):
+        return order
     if not isinstance(order, Sequence):
         # an iterator would be used up by the check below
         raise ValueError(f"branching order is not a permutation of range({f.n}) "
@@ -36,16 +37,16 @@ class Probe:
     an O(n) scan.
     """
 
-    def state(self, state: Any) -> None:
+    def state(self, state: object) -> None:
         """A search state boundary with consistent bookkeeping; not a dead end."""
 
-    def branch(self, state: Any, x: int) -> None:
+    def branch(self, state: object, x: int) -> None:
         """The search branches on ``x``, trying it in and then out."""
 
-    def force(self, state: Any, x: int) -> None:
+    def force(self, state: object, x: int) -> None:
         """``x`` belongs to every stable completion of ``state``."""
 
-    def dead_end(self, state: Any) -> None:
+    def dead_end(self, state: object) -> None:
         """``state`` has no stable completion."""
 
 
@@ -58,19 +59,19 @@ class FanOut(Probe):
     def __init__(self, *probes: Probe) -> None:
         self.probes = probes
 
-    def state(self, state: Any) -> None:
+    def state(self, state: object) -> None:
         for probe in self.probes:
             probe.state(state)
 
-    def branch(self, state: Any, x: int) -> None:
+    def branch(self, state: object, x: int) -> None:
         for probe in self.probes:
             probe.branch(state, x)
 
-    def force(self, state: Any, x: int) -> None:
+    def force(self, state: object, x: int) -> None:
         for probe in self.probes:
             probe.force(state, x)
 
-    def dead_end(self, state: Any) -> None:
+    def dead_end(self, state: object) -> None:
         for probe in self.probes:
             probe.dead_end(state)
 
@@ -85,10 +86,10 @@ class SearchStats(Probe):
         self.branches = 0
         self.propagations = 0
 
-    def branch(self, state: Any, x: int) -> None:
+    def branch(self, state: object, x: int) -> None:
         self.branches += 1
 
-    def force(self, state: Any, x: int) -> None:
+    def force(self, state: object, x: int) -> None:
         self.propagations += 1
 
 

@@ -343,6 +343,21 @@ def test_cold_start_imports_neither_dataclasses_nor_json():
     assert proc.stdout == "[a,c,d]\n[b,e]\n0 []\n"
 
 
+def test_cold_start_does_not_import_typing():
+    # -S: a site .pth hook may import typing before the first line runs
+    child = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from stabenum import cli; "
+        "code = cli.main([sys.argv[2]]); print(code, 'typing' in sys.modules)"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", child, str(src), str(DATA_DIR / "h1.apx")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[a,c,d]\n[b,e]\n0 False\n"
+
+
 @pytest.mark.parametrize("order", ["lex", "max-out", "max-in"])
 def test_main_trace_matches_the_golden_file(tmp_path, capsys, order):
     trace = tmp_path / "t.jsonl"
@@ -353,23 +368,38 @@ def test_main_trace_matches_the_golden_file(tmp_path, capsys, order):
 
 
 class _PipeClosedAfterFirstWrite(io.StringIO):
+    """A stdout whose reader leaves after the first write; counts every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
     def write(self, text):
+        self.writes += 1
         if self.getvalue():
             raise BrokenPipeError(32, "Broken pipe")
         return super().write(text)
 
 
-def test_main_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+def _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, *options):
     path = tmp_path / "pairs.apx"
     path.write_text(write_apx(pairs_framework(8)))  # 16 extensions
-    delivered = []
-    _before_each_delivery(monkeypatch, delivered.append)
     out = _PipeClosedAfterFirstWrite()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main([str(path)]) == 1
-    assert len(delivered) == 2
+    assert main([str(path), *options]) == 1
+    assert out.writes == 2
     assert out.getvalue().count("\n") == 1
     assert capsys.readouterr().err == ""
+
+
+def test_main_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+    # the 4 pairs are 4 parts searched apart; the product is written as it is formed
+    _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch)
+
+
+def test_single_search_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
+    # a probe runs the single search, which writes each extension as it is found
+    _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, "--check-invariants")
 
 
 @pytest.mark.parametrize("n", [None, 24], ids=["h1", "pairs24"])

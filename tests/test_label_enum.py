@@ -22,7 +22,6 @@ from stabenum.label_enum import (
     initial_state,
     is_solution,
     mark_must_out,
-    root_is_dead,
     trace_event,
 )
 from stabenum.oracle import enumerate_bruteforce
@@ -275,7 +274,7 @@ def test_dead_root_takes_no_branch():
     assert enumerate_extensions(f, probe=probe) == 0
     assert events == []
     assert probe.dead == [(frozenset(), frozenset())]
-    assert root_is_dead(initial_state(f), f)
+    assert initial_state(f).dead_root
 
 
 def test_initial_state_self_attacker_forces_last_attacker():
@@ -283,7 +282,7 @@ def test_initial_state_self_attacker_forces_last_attacker():
     state = initial_state(f)
     assert state.pi == [1, 1, 1]
     assert state.gamma == {1}
-    assert not root_is_dead(state, f)
+    assert not state.dead_root
     stats = SearchStats()
     assert enumerate_extensions(f, probe=stats) == 1
     assert stats.branches == 0

@@ -7,7 +7,9 @@ state invariants at every state boundary, force only arguments that belong
 to every stable completion of their state and meet dead ends only where no
 completion is left; the two engines must branch on the same states and meet
 their dead ends in the same order.  Forcing sequences are not compared: the
-engines force in different orders by design.
+engines force in different orders by design.  Searching each independent part
+of the order apart (:mod:`stabenum.split`) must report the single search's
+extensions in the same sequence.
 
 Run as a script to sweep every framework on ``n`` arguments, or every
 ``stride``-th one if a stride follows::
@@ -24,7 +26,7 @@ from typing import Iterator
 
 import pytest
 
-from stabenum import label_enum, set_enum
+from stabenum import label_enum, set_enum, split
 from stabenum.framework import Framework, build
 from stabenum.invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from stabenum.oracle import enumerate_bruteforce
@@ -93,6 +95,10 @@ def sweep(n: int, stride: int = 1) -> list[str]:
                     failures.append(f"{name} {tag}: found {found}, expected {expected}")
                 if witness.unsound:
                     failures.append(f"{name} {tag}: unsound events {witness.unsound}")
+                product: list = []
+                split.enumerate_extensions(engine, f, STRATEGIES[order], product.append)
+                if product != found:
+                    failures.append(f"{name} {tag}: split reported {product}, single search {found}")
                 events.append(witness.events)
             if len(events) == 2 and events[0] != events[1]:
                 failures.append(f"{tag}: branch and dead-end events differ")
