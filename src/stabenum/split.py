@@ -28,8 +28,16 @@ both outputs empty.
 Consecutive parts are joined into at most :data:`MAX_GROUPS` groups of about
 equal size, since each search has a fixed cost; a group is again a part.
 Listing stores the extensions of every group but the first, whose search
-streams; past :data:`MAX_STORED` stored extensions it searches the whole
-framework instead, before anything is reported.
+streams; once the stored extensions would hold more than :data:`MAX_STORED`
+arguments in all, it searches the whole framework instead, before anything
+is reported.  Before a later group is searched, the first group is searched
+up to its first extension, and a later group is searched only once every
+group before it has shown an extension.  The single search, too, searches
+the first group up to its first extension and then each later group in
+full, as long as every group before it has an extension: in the subtree
+that follows the first labelling of the groups before it.  So what the
+split searches before its first line, or before it gives up, is at most
+what the single search searches in all.
 """
 
 from __future__ import annotations
@@ -42,7 +50,8 @@ from .framework import Framework
 from .strategies import BranchOrder, search_order
 
 MAX_GROUPS = 32
-MAX_STORED = 1 << 16
+# arguments, summed over the stored extensions
+MAX_STORED = 1 << 20
 
 Sink = Callable[[tuple[int, ...]], None]
 
@@ -95,21 +104,28 @@ def groups(n: int, cut: list[int]) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def restrict(f: Framework, local: dict[int, int]) -> Framework:
-    """The framework on the arguments ``x`` of ``local``, ascending, each
-    numbered ``local[x]`` in their order; none of them may attack, or be
-    attacked by, an argument outside ``local``."""
-    get = local.__getitem__
-    args = list(local)
-    succ = tuple([tuple(map(get, ts)) if ts else () for ts in map(f.succ.__getitem__, args)])
-    pred = tuple([tuple(map(get, ys)) if ys else () for ys in map(f.pred.__getitem__, args)])
-    names = tuple(map(f.names.__getitem__, args))
+def restrict(f: Framework, args: Sequence[int]) -> Framework:
+    """The framework on the ascending arguments ``args`` of ``f``, each
+    numbered by its position in ``args``; none of them may attack, or be
+    attacked by, an argument outside ``args``."""
+    a, b = args[0], args[-1] + 1
+    if b - a == len(args):
+        # a range of indices, as under lex: shift them
+        succ = tuple([tuple([t - a for t in ts]) if ts else () for ts in f.succ[a:b]])
+        pred = tuple([tuple([y - a for y in ys]) if ys else () for ys in f.pred[a:b]])
+        names, self_loop = f.names[a:b], f.self_loop[a:b]
+    else:
+        get = dict(zip(args, range(len(args)))).__getitem__
+        succ = tuple([tuple(map(get, ts)) if ts else () for ts in map(f.succ.__getitem__, args)])
+        pred = tuple([tuple(map(get, ys)) if ys else () for ys in map(f.pred.__getitem__, args)])
+        names = tuple(map(f.names.__getitem__, args))
+        self_loop = tuple(map(f.self_loop.__getitem__, args))
     return Framework(
         names=names,
         attacks=tuple([(x, t) for x, targets in enumerate(succ) for t in targets]),
         succ=succ,
         pred=pred,
-        self_loop=tuple(map(f.self_loop.__getitem__, args)),
+        self_loop=self_loop,
         index_of=dict(zip(names, range(len(names)))),
     )
 
@@ -117,6 +133,10 @@ def restrict(f: Framework, local: dict[int, int]) -> Framework:
 def _given(order: Sequence[int]) -> BranchOrder:
     """The branching order that is ``order`` whatever the framework."""
     return lambda g: order
+
+
+class _Full(Exception):
+    """The stored extensions would hold more than :data:`MAX_STORED` arguments."""
 
 
 def _nest(prefix: tuple[int, ...], lists: list[list[tuple[int, ...]]], j: int, sink: Sink) -> None:
@@ -128,6 +148,25 @@ def _nest(prefix: tuple[int, ...], lists: list[list[tuple[int, ...]]], j: int, s
     else:
         for tail in lists[j]:
             _nest(prefix + tail, lists, j + 1, sink)
+
+
+def _stored(
+    engine: ModuleType, g: Framework, pick: BranchOrder, args: Sequence[int], room: int
+) -> list[tuple[int, ...]]:
+    """The extensions of ``g``, each argument ``x`` numbered ``args[x]``;
+    raises :class:`_Full` once they would hold more than ``room`` arguments."""
+    found: list[tuple[int, ...]] = []
+    add = found.append
+
+    def store(ext: tuple[int, ...]) -> None:
+        nonlocal room
+        room -= len(ext)
+        if room < 0:
+            raise _Full
+        add(tuple([args[x] for x in ext]))
+
+    engine.enumerate_extensions(g, pick, store)
+    return found
 
 
 def enumerate_extensions(
@@ -144,10 +183,17 @@ def enumerate_extensions(
         return engine.enumerate_extensions(f, _given(order), sink)
     # (framework, its order, its arguments in f) per group
     parts = []
+    lex = order == range(f.n)
     for start, end in spans:
-        args = sorted(order[start:end])
-        local = dict(zip(args, range(len(args))))
-        parts.append((restrict(f, local), _given([local[x] for x in order[start:end]]), args))
+        if lex:
+            # a group is a range of indices, searched in index order
+            args: Sequence[int] = range(start, end)
+            own_order: Sequence[int] = range(end - start)
+        else:
+            args = sorted(order[start:end])
+            local = dict(zip(args, range(len(args))))
+            own_order = [local[x] for x in order[start:end]]
+        parts.append((restrict(f, args), _given(own_order), args))
 
     if sink is None:
         count = 1
@@ -157,17 +203,20 @@ def enumerate_extensions(
                 break
         return count
 
+    g, part_order, args = parts[0]
+    if not engine.enumerate_extensions(g, part_order, None, limit=1):
+        return 0
     stored: list[list[tuple[int, ...]]] = []
     room = MAX_STORED
-    for g, part_order, args in parts[1:]:
-        found: list[tuple[int, ...]] = []
-        engine.enumerate_extensions(g, part_order, found.append, limit=room + 1)
-        if len(found) > room:
-            return engine.enumerate_extensions(f, _given(order), sink)
-        if not found:
-            return 0
-        room -= len(found)
-        stored.append([tuple([args[x] for x in ext]) for ext in found])
+    try:
+        for g, part_order, args in parts[1:]:
+            found = _stored(engine, g, part_order, args, room)
+            if not found:
+                return 0
+            room -= sum(map(len, found))
+            stored.append(found)
+    except _Full:
+        return engine.enumerate_extensions(f, _given(order), sink)
 
     report = sink
     if any(a[-1] > b[0] for (_, _, a), (_, _, b) in zip(parts, parts[1:])):

@@ -55,11 +55,23 @@ def test_groups_join_parts_into_at_most_max_groups(monkeypatch):
 
 
 def test_restrict_renumbers_in_index_order():
-    g = split.restrict(MAX_OUT_PARTS, {1: 0, 3: 1, 5: 2})
+    g = split.restrict(MAX_OUT_PARTS, [1, 3, 5])
     assert g.names == ("b", "d", "f")
     assert g.succ == ((1, 2), (0, 2), (0, 1))
     assert g.pred == g.succ
     assert g == build(["b", "d", "f"], [(x, y) for x in "bdf" for y in "bdf" if x != y])
+
+
+def test_restrict_shifts_a_range_of_indices():
+    # a attacks itself, b attacks c and d, d attacks itself, e and f attack
+    # each other
+    f = build(list("abcdef"), [("a", "a"), ("b", "c"), ("b", "d"), ("d", "d"), ("e", "f"),
+                               ("f", "e")])
+    g = split.restrict(f, [1, 2, 3])
+    assert g.succ == ((1, 2), (), (2,))
+    assert g.pred == ((), (0,), (0, 2))
+    assert g == build(["b", "c", "d"], [("b", "c"), ("b", "d"), ("d", "d")])
+    assert split.restrict(f, range(4, 6)) == build(["e", "f"], [("e", "f"), ("f", "e")])
 
 
 def concatenation(rng: random.Random, loops: bool) -> Framework:
@@ -122,6 +134,80 @@ def test_stored_extensions_over_the_cap_fall_back(monkeypatch, engine, cap):
             assert split.enumerate_extensions(engine, f, pick, found.append) == count
             assert found == single
             assert split.enumerate_extensions(engine, f, pick, None) == count
+
+
+def chains_and_pairs(*pieces: tuple[str, int]) -> Framework:
+    """Pieces declared one after another: ``("chain", k)`` is a chain of ``k``
+    arguments, one extension of every other one; ``("pairs", k)`` is ``k``
+    mutually attacking pairs."""
+    names: list[str] = []
+    attacks: list[tuple[str, str]] = []
+    for kind, k in pieces:
+        start = len(names)
+        if kind == "chain":
+            names += [f"a{start + i}" for i in range(k)]
+            attacks += list(zip(names[start:], names[start + 1:]))
+        else:
+            names += [f"a{start + i}" for i in range(2 * k)]
+            attacks += [(names[start + i], names[start + (i ^ 1)]) for i in range(2 * k)]
+    return build(names, attacks)
+
+
+def _spy(monkeypatch, engine) -> list:
+    """Record the framework and limit of each search that ``engine`` runs."""
+    calls = []
+    search = engine.enumerate_extensions
+
+    def spy(g, pick, sink, **kwargs):
+        calls.append((g, kwargs.get("limit")))
+        return search(g, pick, sink, **kwargs)
+
+    monkeypatch.setattr(engine, "enumerate_extensions", spy)
+    return calls
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+@pytest.mark.parametrize("cap, falls_back", [(223, True), (224, False)])
+def test_the_cap_counts_stored_arguments(monkeypatch, engine, cap, falls_back):
+    # the second group's one-extension chain makes each of its 16 extensions
+    # 4 + 10 = 14 arguments long, 224 in all, though there are only 16
+    f = chains_and_pairs(("chain", 30), ("pairs", 4), ("chain", 20))
+    monkeypatch.setattr(split, "MAX_GROUPS", 2)
+    monkeypatch.setattr(split, "MAX_STORED", cap)
+    assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 30), (30, 58)]
+    single: list = []
+    assert engine.enumerate_extensions(f, STRATEGIES["lex"], single.append) == 16
+    calls = _spy(monkeypatch, engine)
+    found: list = []
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 16
+    assert found == single
+    assert ((f, None) in calls) == falls_back
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+@pytest.mark.parametrize("cap, falls_back", [(3, True), (4, False)])
+def test_the_cap_counts_every_stored_group(monkeypatch, engine, cap, falls_back):
+    # three pairs, three groups: the last two store two one-argument extensions each
+    f = pairs_framework(6)
+    monkeypatch.setattr(split, "MAX_STORED", cap)
+    assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 4), (4, 6)]
+    calls = _spy(monkeypatch, engine)
+    found: list = []
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 8
+    assert ((f, None) in calls) == falls_back
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_no_later_group_is_searched_after_a_first_group_without_extension(monkeypatch, engine):
+    # the odd cycle first: the single search stops at once, and so does the split
+    f = build(list("abcdefg"), [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d"),
+                                ("f", "g"), ("g", "f")])
+    assert split.cuts(f, range(f.n)) == [3, 5]
+    calls = _spy(monkeypatch, engine)
+    found: list = []
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 0
+    assert found == []
+    assert [(g.names, limit) for g, limit in calls] == [(("a", "b", "c"), 1)]
 
 
 def test_a_part_without_extension_empties_the_output(capsys, tmp_path):
