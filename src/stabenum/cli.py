@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from collections.abc import Sequence
@@ -79,7 +80,10 @@ def execute(config: RunConfig, f: Framework) -> int:
     The engine's sink verifies (with ``--verify``) and writes each extension
     to ``sys.stdout`` as it is found.  ``EE-ST`` and ``CE-ST`` without a
     probe search each independent part of the order apart (see
-    :mod:`~stabenum.split`), with the same output.
+    :mod:`~stabenum.split`), with the same output; without ``--verify``,
+    ``EE-ST`` hands the split ``sys.stdout.write`` as well, which receives
+    each line of the product, joined from text rendered once per part's
+    extension, in place of the sink.
     """
     limit = 1 if config.task == "SE-ST" else None
     verify, write = config.verify, config.task != "CE-ST"
@@ -116,7 +120,10 @@ def execute(config: RunConfig, f: Framework) -> int:
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
                 sink = report if verify or write else None
                 if probe is NO_PROBE and limit is None:
-                    count = split.enumerate_extensions(engine, f, STRATEGIES[config.order], sink)
+                    lines = sys.stdout.write if write and not verify else None
+                    count = split.enumerate_extensions(
+                        engine, f, STRATEGIES[config.order], sink, lines
+                    )
                 else:
                     count = engine.enumerate_extensions(
                         f, STRATEGIES[config.order], sink, probe=probe, limit=limit
@@ -193,9 +200,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # an option left off the command line is missing from the namespace, so
-    # RunConfig supplies every default
+    # built on the first call, not at import, and reused: parse_args leaves
+    # the parser as it was.  An option left off the command line is missing
+    # from the namespace, so RunConfig supplies every default
     parser = _ArgumentParser(
         prog="stabenum",
         description="Enumerate the stable extensions of an argumentation framework.",

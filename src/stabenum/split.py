@@ -38,6 +38,16 @@ full, as long as every group before it has an extension: in the subtree
 that follows the first labelling of the groups before it.  So what the
 split searches before its first line, or before it gives up, is at most
 what the single search searches in all.
+
+Given a line writer, listing renders each stored extension as text once: its
+names in index order, joined by commas, as the piece of the output line that
+its group contributes.  The product then joins strings, and each line is one
+call of the writer.  A piece is never empty, since every argument of a
+nonempty framework is in a stable extension or attacked by it, so the commas
+that join the pieces never give ``",,"`` or ``"[,"``.  Pieces stay tuples of
+arguments where a line needs the whole extension: where the sink verifies
+it, and where the groups' arguments interleave in index order, which only a
+degree order can cause, so that a line is the sorted union of its pieces.
 """
 
 from __future__ import annotations
@@ -54,6 +64,8 @@ MAX_GROUPS = 32
 MAX_STORED = 1 << 20
 
 Sink = Callable[[tuple[int, ...]], None]
+# a part of an extension: its arguments, or its part of the output line
+Piece = tuple[int, ...] | str
 
 
 def cuts(f: Framework, order: Sequence[int]) -> list[int]:
@@ -139,9 +151,12 @@ class _Full(Exception):
     """The stored extensions would hold more than :data:`MAX_STORED` arguments."""
 
 
-def _nest(prefix: tuple[int, ...], lists: list[list[tuple[int, ...]]], j: int, sink: Sink) -> None:
-    """Report ``prefix`` joined with each tuple of the product of ``lists[j:]``,
-    the last list varying fastest."""
+def _nest(
+    prefix: Piece, lists: list[list[Piece]], j: int, sink: Callable[[Piece], object]
+) -> None:
+    """Report ``prefix`` joined by ``+`` with each piece of the product of
+    ``lists[j:]``, the last list varying fastest: the pieces are tuples of
+    arguments or text."""
     if j + 1 == len(lists):
         for tail in lists[j]:
             sink(prefix + tail)
@@ -150,12 +165,26 @@ def _nest(prefix: tuple[int, ...], lists: list[list[tuple[int, ...]]], j: int, s
             _nest(prefix + tail, lists, j + 1, sink)
 
 
+def _text(g: Framework, head: str, tail: str) -> Callable[[tuple[int, ...]], str]:
+    """Render an extension of ``g`` as ``head``, its names in index order
+    joined by commas, and ``tail``."""
+    names = g.names
+    return lambda ext: head + ",".join([names[x] for x in sorted(ext)]) + tail
+
+
+def _mapped(args: Sequence[int]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """Number each argument ``x`` of an extension ``args[x]``."""
+    return lambda ext: tuple([args[x] for x in ext])
+
+
 def _stored(
-    engine: ModuleType, g: Framework, pick: BranchOrder, args: Sequence[int], room: int
-) -> list[tuple[int, ...]]:
-    """The extensions of ``g``, each argument ``x`` numbered ``args[x]``;
-    raises :class:`_Full` once they would hold more than ``room`` arguments."""
-    found: list[tuple[int, ...]] = []
+    engine: ModuleType, g: Framework, pick: BranchOrder, piece: Callable[[tuple[int, ...]], Piece],
+    room: int,
+) -> tuple[list[Piece], int]:
+    """The pieces of ``g``'s extensions and the room left; raises
+    :class:`_Full` once the extensions would hold more than ``room``
+    arguments."""
+    found: list[Piece] = []
     add = found.append
 
     def store(ext: tuple[int, ...]) -> None:
@@ -163,19 +192,28 @@ def _stored(
         room -= len(ext)
         if room < 0:
             raise _Full
-        add(tuple([args[x] for x in ext]))
+        add(piece(ext))
 
     engine.enumerate_extensions(g, pick, store)
-    return found
+    return found, room
 
 
 def enumerate_extensions(
-    engine: ModuleType, f: Framework, pick: BranchOrder, sink: Sink | None
+    engine: ModuleType,
+    f: Framework,
+    pick: BranchOrder,
+    sink: Sink | None,
+    lines: Callable[[str], object] | None = None,
 ) -> int:
     """Report every stable extension of ``f`` once, in the order in which
     ``engine.enumerate_extensions(f, pick, sink)`` reports them, with the
     same count; ``engine`` is :mod:`~stabenum.set_enum` or
     :mod:`~stabenum.label_enum`.  Calls ``pick`` once.
+
+    With ``lines``, an extension that is formed from the stored text is
+    passed to ``lines`` as its output line, ``[name,...]`` in index order
+    and a newline, instead of to ``sink``; ``sink`` must then write the same
+    line.
     """
     order = search_order(f, pick, None)
     spans = groups(f.n, cuts(f, order))
@@ -206,27 +244,35 @@ def enumerate_extensions(
     g, part_order, args = parts[0]
     if not engine.enumerate_extensions(g, part_order, None, limit=1):
         return 0
-    stored: list[list[tuple[int, ...]]] = []
+    # where the groups' arguments interleave in index order, a line is the
+    # sorted union of its pieces, so the pieces stay tuples
+    interleaved = any(a[-1] > b[0] for (_, _, a), (_, _, b) in zip(parts, parts[1:]))
+    text = lines is not None and not interleaved
+    stored: list[list[Piece]] = []
     room = MAX_STORED
     try:
-        for g, part_order, args in parts[1:]:
-            found = _stored(engine, g, part_order, args, room)
+        for i, (g, part_order, args) in enumerate(parts[1:], 2):
+            if text:
+                piece = _text(g, ",", "]\n" if i == len(parts) else "")
+            else:
+                piece = _mapped(args)
+            found, room = _stored(engine, g, part_order, piece, room)
             if not found:
                 return 0
-            room -= sum(map(len, found))
             stored.append(found)
     except _Full:
         return engine.enumerate_extensions(f, _given(order), sink)
 
-    report = sink
-    if any(a[-1] > b[0] for (_, _, a), (_, _, b) in zip(parts, parts[1:])):
-        # the groups' arguments interleave in index order: sort each union
-        def report(ext: tuple[int, ...]) -> None:
-            sink(tuple(sorted(ext)))
-
     g, part_order, args = parts[0]
+    if text:
+        first, report = _text(g, "[", ""), lines
+    else:
+        first, report = _mapped(args), sink
+        if interleaved:
+            def report(ext: tuple[int, ...]) -> None:
+                sink(tuple(sorted(ext)))
 
     def expand(ext: tuple[int, ...]) -> None:
-        _nest(tuple([args[x] for x in ext]), stored, 0, report)
+        _nest(first(ext), stored, 0, report)
 
     return engine.enumerate_extensions(g, part_order, expand) * prod(map(len, stored))

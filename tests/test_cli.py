@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from stabenum import cli
+from stabenum import cli, split
 from stabenum.cli import RunConfig, execute, main, parse_gen, run
-from stabenum.formats import write_apx
+from stabenum.formats import format_extension, write_apx
+from stabenum.framework import build
 from stabenum.generators import GenSpec
 
 from conftest import DATA_DIR, h1_framework, pairs_framework
@@ -148,6 +149,30 @@ def test_verify_failure_keeps_the_extensions_before_it(monkeypatch, capsys):
     assert code == 2
     assert captured.out == "[a,c,d]\n"
     assert "verification failed: reported set ['b', 'e']" in captured.err
+
+
+def test_verify_checks_each_line_of_a_split_run(tmp_path, capsys, monkeypatch):
+    # four pairs and a copy of h1: five groups, 16 * 2 lines, each checked
+    # once as the whole extension before it is written
+    pairs, h1 = pairs_framework(8), h1_framework()
+    f = build(pairs.names + h1.names,
+              [(pairs.names[x], pairs.names[y]) for x, y in pairs.attacks]
+              + [(h1.names[x], h1.names[y]) for x, y in h1.attacks])
+    assert len(split.groups(f.n, split.cuts(f, range(f.n)))) == 5
+    path = tmp_path / "pairs-h1.apx"
+    path.write_text(write_apx(f))
+    checked = []
+
+    def is_stable(g, ext):
+        checked.append(format_extension(ext, g.names))
+        return cli_is_stable(g, ext)
+
+    cli_is_stable = cli.is_stable
+    monkeypatch.setattr(cli, "is_stable", is_stable)
+    assert main([str(path), "--verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 32
+    assert checked == lines
 
 
 def _before_each_delivery(monkeypatch, hook):
@@ -452,6 +477,34 @@ def test_main_usage_errors(argv, message, capsys):
         main(argv)
     assert excinfo.value.code == 1
     assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def _exits(parse, argv, capsys) -> tuple:
+    with pytest.raises(SystemExit) as excinfo:
+        parse(argv)
+    captured = capsys.readouterr()
+    return excinfo.value.code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser_built_on_its_first_call(capsys):
+    # --help and a usage error print, byte for byte, what a parser built
+    # afresh prints, on the first call and on later ones
+    argvs = (["--help"], ["--order", "best"], ["--gen", "5,0.5"])
+    fresh = cli._build_parser.__wrapped__()
+    expected = [_exits(fresh.parse_args, argv, capsys) for argv in argvs[:2]]
+    expected.append((1, "", fresh.format_usage()
+                     + "stabenum: error: --gen takes N,P,SEED[,selfloops]\n"))
+    assert [code for code, _, _ in expected] == [0, 1, 1]
+    for _ in range(2):
+        assert [_exits(main, argv, capsys) for argv in argvs] == expected
+    assert cli._build_parser() is cli._build_parser()
+    # the import builds none: a cold start that only imports pays nothing for it
+    src = Path(cli.__file__).resolve().parents[1]
+    child = ("import sys; sys.path.insert(0, sys.argv[1]); from stabenum import cli; "
+             "print(cli._build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-E", "-s", "-c", child, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 def test_parse_gen_forms():

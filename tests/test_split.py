@@ -11,9 +11,11 @@ from stabenum.cli import main
 from stabenum.formats import write_apx
 from stabenum.framework import Framework, build
 from stabenum.generators import GenSpec, random_af
+from stabenum.oracle import is_stable
 from stabenum.strategies import STRATEGIES, max_out_order
 
 from conftest import h1_framework, pairs_framework
+from test_small_models import small_frameworks
 
 # two components, {b, d, f} attacking each other both ways and {a, c}, plus
 # the isolated e: interleaved in index order, consecutive under max-out
@@ -117,6 +119,83 @@ def test_cli_output_equals_the_single_search(tmp_path, capsys, loops):
                             capsys, [*argv, "--check-invariants"]
                         ), argv
     assert split_runs > 20
+
+
+def unequal_names(rng: random.Random, shuffle: bool) -> Framework:
+    """Two or three parts, each a mutual pair, a self-attacker that both
+    attack and a small random framework that the self-attacker attacks.  The
+    names are of unequal length, some a prefix of another, so that index
+    order is not name order; with ``shuffle`` they are declared in a random
+    order, so that a group's arguments may interleave with another's."""
+    pool = [p + s for p in ("a", "b", "b_", "c") for s in ("", "1", "2", "10", "_2", "100")]
+    sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
+    names = rng.sample(pool, sum(sizes) + 3 * len(sizes))
+    attacks = []
+    start = 0
+    for size in sizes:
+        x, y, loop, *rest = names[start:start + 3 + size]
+        start += 3 + size
+        attacks += [(x, y), (y, x), (x, loop), (y, loop), (loop, loop), (loop, rest[0])]
+        g = random_af(GenSpec(size, rng.choice([0.2, 0.4]), seed=rng.randrange(1 << 30)))
+        attacks += [(rest[t], rest[h]) for t, h in g.attacks]
+    if shuffle:
+        rng.shuffle(names)
+    return build(names, attacks)
+
+
+def _interleaved(f: Framework, order: str) -> bool:
+    """Whether ``f`` splits under ``order`` into groups whose arguments
+    interleave in index order."""
+    pick = STRATEGIES[order](f)
+    spans = split.groups(f.n, split.cuts(f, pick))
+    args = [sorted(pick[start:end]) for start, end in spans]
+    return any(a[-1] > b[0] for a, b in zip(args, args[1:]))
+
+
+# a10 and a attack each other; b_2 attacks itself and is attacked by c and
+# b, which attack each other; a1 is isolated: three groups under lex
+UNEQUAL_NAMES = build(
+    ["a10", "a", "b_2", "c", "b", "a1"],
+    [("a10", "a"), ("a", "a10"), ("b_2", "b_2"), ("c", "b_2"), ("c", "b"), ("b", "c"),
+     ("b", "b_2")],
+)
+
+
+def _stdout_of(capsys, tmp_path, f: Framework, options: list[str]) -> str:
+    path = tmp_path / "af.apx"
+    path.write_text(write_apx(f))
+    return _stdout(capsys, [str(path), *options])
+
+
+def test_cli_lines_equal_the_single_search_on_unequal_names(tmp_path, capsys):
+    # the split joins the lines from text rendered per group, except under
+    # --verify and where the groups interleave in index order
+    assert _stdout_of(capsys, tmp_path, UNEQUAL_NAMES, []) == (
+        "[a10,c,a1]\n[a10,b,a1]\n[a,c,a1]\n[a,b,a1]\n"
+    )
+    rng = random.Random(17)
+    split_runs = interleaved = 0
+    for f in [UNEQUAL_NAMES] + [unequal_names(rng, shuffle=k % 2 == 1) for k in range(16)]:
+        for order in STRATEGIES:
+            split_runs += len(split.groups(f.n, split.cuts(f, STRATEGIES[order](f)))) > 1
+            interleaved += _interleaved(f, order)
+            for engine in ("set", "label"):
+                for verify in ([], ["--verify"]):
+                    options = ["--engine", engine, "--order", order, *verify]
+                    assert _stdout_of(capsys, tmp_path, f, options) == _stdout_of(
+                        capsys, tmp_path, f, [*options, "--check-invariants"]
+                    ), (f, options)
+    assert split_runs > 20
+    assert interleaved > 3
+
+
+def test_no_stable_extension_of_a_nonempty_framework_is_empty():
+    # every argument must be in the extension or attacked by it, so each
+    # group's piece of a line names at least one argument
+    for n in (1, 2, 3):
+        for f in small_frameworks(n):
+            assert not is_stable(f, ())
+    assert is_stable(build([], []), ())
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 8])
