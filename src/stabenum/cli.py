@@ -82,8 +82,8 @@ def execute(config: RunConfig, f: Framework) -> int:
     probe search each independent part of the order apart (see
     :mod:`~stabenum.split`), with the same output; without ``--verify``,
     ``EE-ST`` hands the split ``sys.stdout.write`` as well, which receives
-    each line of the product, joined from text rendered once per part's
-    extension, in place of the sink.
+    the lines of the product, joined from text rendered once per part's
+    extension, a block of whole lines per call, in place of the sink.
     """
     limit = 1 if config.task == "SE-ST" else None
     verify, write = config.verify, config.task != "CE-ST"

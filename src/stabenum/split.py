@@ -41,13 +41,20 @@ what the single search searches in all.
 
 Given a line writer, listing renders each stored extension as text once: its
 names in index order, joined by commas, as the piece of the output line that
-its group contributes.  The product then joins strings, and each line is one
-call of the writer.  A piece is never empty, since every argument of a
-nonempty framework is in a stable extension or attacked by it, so the commas
-that join the pieces never give ``",,"`` or ``"[,"``.  Pieces stay tuples of
-arguments where a line needs the whole extension: where the sink verifies
-it, and where the groups' arguments interleave in index order, which only a
-degree order can cause, so that a line is the sorted union of its pieces.
+its group contributes.  The product then joins strings.  Once every group is
+stored, the trailing lists are folded into one list of line tails, each the
+pieces of one extension of those groups, for as long as the folded text
+stays within :data:`BLOCK` characters, and the tails are cut into blocks of
+at most :data:`BLOCK` characters; a tail longer than that is a block of its
+own.  Each prefix formed from the outer lists then costs the writer one call
+per block, ``prefix + prefix.join(block)``: the block's lines, in order.  A
+piece is never empty, since every argument of a nonempty framework is in a
+stable extension or attacked by it, so the commas that join the pieces never
+give ``",,"`` or ``"[,"``.  Pieces stay tuples of arguments, reported one
+extension at a time, where a line needs the whole extension: where the sink
+verifies it, and where the groups' arguments interleave in index order,
+which only a degree order can cause, so that a line is the sorted union of
+its pieces.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ from .strategies import BranchOrder, search_order
 MAX_GROUPS = 32
 # arguments, summed over the stored extensions
 MAX_STORED = 1 << 20
+# characters of line tails per call of the line writer
+BLOCK = 1 << 14
 
 Sink = Callable[[tuple[int, ...]], None]
 # a part of an extension: its arguments, or its part of the output line
@@ -152,17 +161,45 @@ class _Full(Exception):
 
 
 def _nest(
-    prefix: Piece, lists: list[list[Piece]], j: int, sink: Callable[[Piece], object]
+    prefix: Piece, lists: list[list[Piece]], j: int, leaf: Callable[[Piece, list], object]
 ) -> None:
-    """Report ``prefix`` joined by ``+`` with each piece of the product of
-    ``lists[j:]``, the last list varying fastest: the pieces are tuples of
-    arguments or text."""
+    """For each piece of the product of ``lists[j:-1]``, the last list
+    varying fastest, call ``leaf`` with ``prefix`` joined to it by ``+`` and
+    with ``lists[-1]``: the pieces are tuples of arguments or text."""
     if j + 1 == len(lists):
-        for tail in lists[j]:
-            sink(prefix + tail)
+        leaf(prefix, lists[j])
     else:
         for tail in lists[j]:
-            _nest(prefix + tail, lists, j + 1, sink)
+            _nest(prefix + tail, lists, j + 1, leaf)
+
+
+def _blocks(lists: list[list[str]]) -> list[list]:
+    """``lists`` with its trailing lists folded into one list of tails, the
+    last varying fastest, while their text stays within :data:`BLOCK`
+    characters, and that list cut into blocks of at most :data:`BLOCK`
+    characters or of one tail."""
+    k = len(lists) - 1
+    tails = lists[k]
+    size = sum(map(len, tails))
+    while k:
+        head = lists[k - 1]
+        folded = len(tails) * sum(map(len, head)) + len(head) * size
+        if folded > BLOCK:
+            break
+        tails = [a + b for a in head for b in tails]
+        size = folded
+        k -= 1
+    blocks: list[list[str]] = []
+    block: list[str] = []
+    size = 0
+    for tail in tails:
+        if block and size + len(tail) > BLOCK:
+            blocks.append(block)
+            block, size = [], 0
+        block.append(tail)
+        size += len(tail)
+    blocks.append(block)
+    return [*lists[:k], blocks]
 
 
 def _text(g: Framework, head: str, tail: str) -> Callable[[tuple[int, ...]], str]:
@@ -210,10 +247,10 @@ def enumerate_extensions(
     same count; ``engine`` is :mod:`~stabenum.set_enum` or
     :mod:`~stabenum.label_enum`.  Calls ``pick`` once.
 
-    With ``lines``, an extension that is formed from the stored text is
-    passed to ``lines`` as its output line, ``[name,...]`` in index order
-    and a newline, instead of to ``sink``; ``sink`` must then write the same
-    line.
+    With ``lines``, the extensions that are formed from the stored text are
+    passed to ``lines`` as their output lines, ``[name,...]`` in index order
+    and a newline, a block of whole lines per call, instead of to ``sink``;
+    ``sink`` must then write the same line.
     """
     order = search_order(f, pick, None)
     spans = groups(f.n, cuts(f, order))
@@ -263,16 +300,26 @@ def enumerate_extensions(
     except _Full:
         return engine.enumerate_extensions(f, _given(order), sink)
 
+    count = prod(map(len, stored))
     g, part_order, args = parts[0]
     if text:
-        first, report = _text(g, "[", ""), lines
+        first = _text(g, "[", "")
+        stored = _blocks(stored)
+
+        def leaf(prefix: str, blocks: list[list[str]]) -> None:
+            for block in blocks:
+                lines(prefix + prefix.join(block))
     else:
         first, report = _mapped(args), sink
         if interleaved:
             def report(ext: tuple[int, ...]) -> None:
                 sink(tuple(sorted(ext)))
 
-    def expand(ext: tuple[int, ...]) -> None:
-        _nest(first(ext), stored, 0, report)
+        def leaf(prefix: tuple[int, ...], tails: list[tuple[int, ...]]) -> None:
+            for tail in tails:
+                report(prefix + tail)
 
-    return engine.enumerate_extensions(g, part_order, expand) * prod(map(len, stored))
+    def expand(ext: tuple[int, ...]) -> None:
+        _nest(first(ext), stored, 0, leaf)
+
+    return engine.enumerate_extensions(g, part_order, expand) * count

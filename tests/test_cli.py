@@ -406,25 +406,32 @@ class _PipeClosedAfterFirstWrite(io.StringIO):
         return super().write(text)
 
 
-def _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, *options):
+def _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, *options) -> str:
+    """The first write of a run on 4 pairs whose stdout closes after it."""
     path = tmp_path / "pairs.apx"
     path.write_text(write_apx(pairs_framework(8)))  # 16 extensions
     out = _PipeClosedAfterFirstWrite()
     monkeypatch.setattr(sys, "stdout", out)
     assert main([str(path), *options]) == 1
     assert out.writes == 2
-    assert out.getvalue().count("\n") == 1
     assert capsys.readouterr().err == ""
+    return out.getvalue()
 
 
 def test_main_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
-    # the 4 pairs are 4 parts searched apart; the product is written as it is formed
-    _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch)
+    # the 4 pairs are 4 parts searched apart; the product is written a block
+    # of lines at a time, and the first block holds the last three parts' 8
+    # extensions after the first part's first
+    assert _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch) == (
+        "[a0,a2,a4,a6]\n[a0,a2,a4,a7]\n[a0,a2,a5,a6]\n[a0,a2,a5,a7]\n"
+        "[a0,a3,a4,a6]\n[a0,a3,a4,a7]\n[a0,a3,a5,a6]\n[a0,a3,a5,a7]\n"
+    )
 
 
 def test_single_search_stops_when_stdout_is_closed(tmp_path, capsys, monkeypatch):
     # a probe runs the single search, which writes each extension as it is found
-    _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, "--check-invariants")
+    first = _stops_at_the_first_failing_write(tmp_path, capsys, monkeypatch, "--check-invariants")
+    assert first.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", [None, 24], ids=["h1", "pairs24"])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import random
+import sys
 
 import pytest
 
@@ -196,6 +198,107 @@ def test_no_stable_extension_of_a_nonempty_framework_is_empty():
         for f in small_frameworks(n):
             assert not is_stable(f, ())
     assert is_stable(build([], []), ())
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes: list[str] = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def _writes(monkeypatch, argv) -> list[str]:
+    out = _Writes()
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
+    return out.writes
+
+
+def _last_tail(f: Framework, order: str) -> int:
+    """The length of the last group's piece of the first line under
+    ``order``: a comma, its names and ``]\\n``; 1 without a line."""
+    pick = STRATEGIES[order](f)
+    start, _ = split.groups(f.n, split.cuts(f, pick))[-1]
+    last = set(pick[start:])
+    first: list = []
+    if not label_enum.enumerate_extensions(f, STRATEGIES[order], first.append, limit=1):
+        return 1
+    return len(",".join([f.names[x] for x in sorted(first[0]) if x in last])) + 3
+
+
+@pytest.mark.parametrize("bound", ["one", "under-a-tail", "a-tail", "three-tails", "default"])
+def test_each_write_is_one_line_or_a_bounded_block(monkeypatch, tmp_path, bound):
+    # the split's text lines are written a block at a time: prefix +
+    # prefix.join(block), where the block holds at most BLOCK characters of
+    # line tails, or one tail that is longer
+    folds: list = []
+    fold = split._blocks
+
+    def spy(lists):
+        folded = fold(lists)
+        folds.append(folded[-1])
+        return folded
+
+    monkeypatch.setattr(split, "_blocks", spy)
+    rng = random.Random(18)
+    path = tmp_path / "af.apx"
+    multiline = 0
+    for f in [pairs_framework(8), pairs_framework(12), UNEQUAL_NAMES] + [
+        unequal_names(rng, shuffle=k % 2 == 1) for k in range(8)
+    ]:
+        path.write_text(write_apx(f))
+        for order in STRATEGIES:
+            tail = _last_tail(f, order)
+            monkeypatch.setattr(split, "BLOCK", {
+                "one": 1, "under-a-tail": tail - 1, "a-tail": tail, "three-tails": 3 * tail,
+                "default": split.BLOCK,
+            }[bound])
+            for engine in ("set", "label"):
+                argv = [str(path), "--engine", engine, "--order", order]
+                folds.clear()
+                writes = _writes(monkeypatch, argv)
+                assert "".join(writes) == "".join(
+                    _writes(monkeypatch, [*argv, "--check-invariants"])
+                ), argv
+                blocks = [block for blocks in folds for block in blocks]
+                for block in blocks:
+                    assert len(block) == 1 or sum(map(len, block)) <= split.BLOCK
+                for text in writes:
+                    lines = text.splitlines(keepends=True)
+                    assert text.endswith("\n")
+                    if len(lines) == 1:
+                        continue
+                    multiline += 1
+                    assert any(
+                        len(block) == len(lines) and lines[0].endswith(block[0])
+                        and text == (p := lines[0][:-len(block[0])]) + p.join(block)
+                        for block in blocks
+                    ), (argv, text)
+    if bound in ("one", "under-a-tail"):
+        assert multiline == 0
+    elif bound in ("three-tails", "default"):
+        assert multiline > 30
+
+
+def test_34_pairs_are_written_in_512_blocks(tmp_path, monkeypatch):
+    # 131,072 lines: the last 8 pairs' 256 tails (about 8,000 characters)
+    # fold into one block within the default BLOCK, and the first 9 pairs
+    # form the 512 prefixes that each write it once
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(pairs_framework(34)))
+    writes = _writes(monkeypatch, [str(path)])
+    assert len(writes) == 512
+    assert {text.count("\n") for text in writes} == {256}
+    monkeypatch.setattr(split, "BLOCK", 1)
+    # compared whole: a diff of 131,072 lines would take minutes
+    same = "".join(writes) == "".join(_writes(monkeypatch, [str(path)]))
+    assert same
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 8])
