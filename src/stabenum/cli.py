@@ -3,8 +3,10 @@
 Exit codes: 0 on success, 1 for input or configuration errors (unreadable
 files, parse errors, size guards, bad flags) and for a stdout closed by its
 reader, 2 for internal violations (invariant check failures, verification
-mismatches).  Extensions are written as they are found, so a run that exits
-with 1 or 2 during the search may leave part of its output on stdout.
+mismatches).  The single search writes extensions as they are found, so a
+run that exits with 1 or 2 during the search may leave part of its output on
+stdout; the split search (:mod:`~stabenum.split`) writes its first line only
+once every later part is searched.
 """
 
 from __future__ import annotations
@@ -79,11 +81,10 @@ def execute(config: RunConfig, f: Framework) -> int:
 
     The engine's sink verifies (with ``--verify``) and writes each extension
     to ``sys.stdout`` as it is found.  ``EE-ST`` and ``CE-ST`` without a
-    probe search each independent part of the order apart (see
-    :mod:`~stabenum.split`), with the same output; without ``--verify``,
-    ``EE-ST`` hands the split ``sys.stdout.write`` as well, which receives
-    the lines of the product, joined from text rendered once per part's
-    extension, a block of whole lines per call, in place of the sink.
+    probe and without ``--verify`` search each independent part of the order
+    apart (see :mod:`~stabenum.split`), with the same output: the split
+    hands ``sys.stdout.write`` the lines of the product, a block of whole
+    lines per call, and the sink only the extensions of a single search.
     """
     limit = 1 if config.task == "SE-ST" else None
     verify, write = config.verify, config.task != "CE-ST"
@@ -119,10 +120,9 @@ def execute(config: RunConfig, f: Framework) -> int:
                     )
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
                 sink = report if verify or write else None
-                if probe is NO_PROBE and limit is None:
-                    lines = sys.stdout.write if write and not verify else None
+                if probe is NO_PROBE and limit is None and not verify:
                     count = split.enumerate_extensions(
-                        engine, f, STRATEGIES[config.order], sink, lines
+                        engine, f, STRATEGIES[config.order], sink, sys.stdout.write
                     )
                 else:
                     count = engine.enumerate_extensions(

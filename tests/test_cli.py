@@ -152,8 +152,9 @@ def test_verify_failure_keeps_the_extensions_before_it(monkeypatch, capsys):
 
 
 def test_verify_checks_each_line_of_a_split_run(tmp_path, capsys, monkeypatch):
-    # four pairs and a copy of h1: five groups, 16 * 2 lines, each checked
-    # once as the whole extension before it is written
+    # four pairs and a copy of h1: five groups, but --verify runs the single
+    # search, which checks each of the 16 * 2 lines once, as the whole
+    # extension, before it is written
     pairs, h1 = pairs_framework(8), h1_framework()
     f = build(pairs.names + h1.names,
               [(pairs.names[x], pairs.names[y]) for x, y in pairs.attacks]

@@ -8,8 +8,8 @@ to every stable completion of their state and meet dead ends only where no
 completion is left; the two engines must branch on the same states and meet
 their dead ends in the same order.  Forcing sequences are not compared: the
 engines force in different orders by design.  Searching each independent part
-of the order apart (:mod:`stabenum.split`) must report the single search's
-extensions in the same sequence.
+of the order apart (:mod:`stabenum.split`) must write the single search's
+lines in the same sequence.
 
 Run as a script to sweep every framework on ``n`` arguments, or every
 ``stride``-th one if a stride follows::
@@ -27,6 +27,7 @@ from typing import Iterator
 import pytest
 
 from stabenum import label_enum, set_enum, split
+from stabenum.formats import format_extension
 from stabenum.framework import Framework, build
 from stabenum.invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from stabenum.oracle import enumerate_bruteforce
@@ -95,10 +96,15 @@ def sweep(n: int, stride: int = 1) -> list[str]:
                     failures.append(f"{name} {tag}: found {found}, expected {expected}")
                 if witness.unsound:
                     failures.append(f"{name} {tag}: unsound events {witness.unsound}")
+                lines = [format_extension(ext, f.names) + "\n" for ext in found]
                 product: list = []
-                split.enumerate_extensions(engine, f, STRATEGIES[order], product.append)
-                if product != found:
-                    failures.append(f"{name} {tag}: split reported {product}, single search {found}")
+                split.enumerate_extensions(
+                    engine, f, STRATEGIES[order],
+                    lambda ext: product.append(format_extension(ext, f.names) + "\n"),
+                    product.append,
+                )
+                if "".join(product) != "".join(lines):
+                    failures.append(f"{name} {tag}: split wrote {product}, single search {lines}")
                 events.append(witness.events)
             if len(events) == 2 and events[0] != events[1]:
                 failures.append(f"{tag}: branch and dead-end events differ")

@@ -5,12 +5,14 @@ from __future__ import annotations
 import io
 import random
 import sys
+from collections.abc import Callable
+from itertools import accumulate
 
 import pytest
 
 from stabenum import label_enum, set_enum, split
 from stabenum.cli import main
-from stabenum.formats import write_apx
+from stabenum.formats import format_extension, write_apx
 from stabenum.framework import Framework, build
 from stabenum.generators import GenSpec, random_af
 from stabenum.oracle import is_stable
@@ -20,12 +22,22 @@ from conftest import h1_framework, pairs_framework
 from test_small_models import small_frameworks
 
 # two components, {b, d, f} attacking each other both ways and {a, c}, plus
-# the isolated e: interleaved in index order, consecutive under max-out
+# the isolated e: interleaved in index order, consecutive under max-out, but
+# no prefix of the max-out order is a prefix of the indices
 MAX_OUT_PARTS = build(
     list("abcdef"),
     [("b", "d"), ("d", "b"), ("d", "f"), ("f", "d"), ("b", "f"), ("f", "b"),
      ("a", "c"), ("c", "a")],
 )
+
+# two mutual pairs and a triangle whose arguments attack each other both ways
+TRIANGLE_LAST = build(
+    list("abcdxyz"),
+    [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]
+    + [(s, t) for s in "xyz" for t in "xyz" if s != t],
+)
+TRIANGLE_FIRST = build(list("xyzabcd"), [(TRIANGLE_LAST.names[s], TRIANGLE_LAST.names[t])
+                                         for s, t in TRIANGLE_LAST.attacks])
 
 
 @pytest.mark.parametrize(
@@ -36,13 +48,19 @@ MAX_OUT_PARTS = build(
         (build(list("abcd"), [("a", "c"), ("c", "a"), ("b", "d"), ("d", "b")]), range(4), []),
         (build(list("abcde"), [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")]), range(5), [2, 4]),
         (MAX_OUT_PARTS, range(6), []),
-        (MAX_OUT_PARTS, max_out_order(MAX_OUT_PARTS), [3, 5]),
+        (MAX_OUT_PARTS, max_out_order(MAX_OUT_PARTS), []),
+        # max-out branches on the triangle first: where it is declared last,
+        # no prefix of the order is a prefix of the indices
+        (TRIANGLE_LAST, max_out_order(TRIANGLE_LAST), []),
+        (TRIANGLE_LAST, range(7), [2, 4]),
+        (TRIANGLE_FIRST, max_out_order(TRIANGLE_FIRST), [3, 5]),
         # the same order as a list: the scan for any permutation
         (pairs_framework(8), list(range(8)), [2, 4, 6]),
         (build([], []), range(0), []),
     ],
     ids=["pairs", "h1", "interleaved", "trailing-isolated", "max-out-lex", "max-out",
-         "pairs-list", "empty"],
+         "triangle-last-max-out", "triangle-last-lex", "triangle-first-max-out", "pairs-list",
+         "empty"],
 )
 def test_cuts(f, order, expected):
     assert split.cuts(f, order) == expected
@@ -58,24 +76,16 @@ def test_groups_join_parts_into_at_most_max_groups(monkeypatch):
     assert len(split.groups(1000, list(range(1, 1000)))) == 2
 
 
-def test_restrict_renumbers_in_index_order():
-    g = split.restrict(MAX_OUT_PARTS, [1, 3, 5])
-    assert g.names == ("b", "d", "f")
-    assert g.succ == ((1, 2), (0, 2), (0, 1))
-    assert g.pred == g.succ
-    assert g == build(["b", "d", "f"], [(x, y) for x in "bdf" for y in "bdf" if x != y])
-
-
 def test_restrict_shifts_a_range_of_indices():
     # a attacks itself, b attacks c and d, d attacks itself, e and f attack
     # each other
     f = build(list("abcdef"), [("a", "a"), ("b", "c"), ("b", "d"), ("d", "d"), ("e", "f"),
                                ("f", "e")])
-    g = split.restrict(f, [1, 2, 3])
+    g = split.restrict(f, 1, 4)
     assert g.succ == ((1, 2), (), (2,))
     assert g.pred == ((), (0,), (0, 2))
     assert g == build(["b", "c", "d"], [("b", "c"), ("b", "d"), ("d", "d")])
-    assert split.restrict(f, range(4, 6)) == build(["e", "f"], [("e", "f"), ("f", "e")])
+    assert split.restrict(f, 4, 6) == build(["e", "f"], [("e", "f"), ("f", "e")])
 
 
 def concatenation(rng: random.Random, loops: bool) -> Framework:
@@ -107,7 +117,7 @@ def test_cli_output_equals_the_single_search(tmp_path, capsys, loops):
     rng = random.Random(16 + loops)
     path = tmp_path / "concat.apx"
     split_runs = 0
-    for _ in range(12):
+    for _ in range(16):
         f = concatenation(rng, loops)
         path.write_text(write_apx(f))
         for order in STRATEGIES:
@@ -128,7 +138,7 @@ def unequal_names(rng: random.Random, shuffle: bool) -> Framework:
     attack and a small random framework that the self-attacker attacks.  The
     names are of unequal length, some a prefix of another, so that index
     order is not name order; with ``shuffle`` they are declared in a random
-    order, so that a group's arguments may interleave with another's."""
+    order, so that a part's arguments may interleave with another's."""
     pool = [p + s for p in ("a", "b", "b_", "c") for s in ("", "1", "2", "10", "_2", "100")]
     sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
     names = rng.sample(pool, sum(sizes) + 3 * len(sizes))
@@ -146,10 +156,21 @@ def unequal_names(rng: random.Random, shuffle: bool) -> Framework:
 
 
 def _interleaved(f: Framework, order: str) -> bool:
-    """Whether ``f`` splits under ``order`` into groups whose arguments
+    """Whether the positions of ``order`` that no attack crosses, which need
+    not be prefixes of the indices, split ``f`` into groups whose arguments
     interleave in index order."""
     pick = STRATEGIES[order](f)
-    spans = split.groups(f.n, split.cuts(f, pick))
+    position = [0] * f.n
+    for c, x in enumerate(pick):
+        position[x] = c
+    # crossed[c]: how many attacks join a position before c to one at or after it
+    crossed = [0] * (f.n + 1)
+    for x, y in f.attacks:
+        a, b = sorted((position[x], position[y]))
+        crossed[a + 1] += 1
+        crossed[b + 1] -= 1
+    crossed = list(accumulate(crossed))
+    spans = split.groups(f.n, [c for c in range(1, f.n) if not crossed[c]])
     args = [sorted(pick[start:end]) for start, end in spans]
     return any(a[-1] > b[0] for a, b in zip(args, args[1:]))
 
@@ -170,17 +191,19 @@ def _stdout_of(capsys, tmp_path, f: Framework, options: list[str]) -> str:
 
 
 def test_cli_lines_equal_the_single_search_on_unequal_names(tmp_path, capsys):
-    # the split joins the lines from text rendered per group, except under
-    # --verify and where the groups interleave in index order
+    # the split joins the lines from text rendered per group; where the
+    # parts of a degree order interleave in index order, no position of the
+    # order is a cut and the single search runs
     assert _stdout_of(capsys, tmp_path, UNEQUAL_NAMES, []) == (
         "[a10,c,a1]\n[a10,b,a1]\n[a,c,a1]\n[a,b,a1]\n"
     )
     rng = random.Random(17)
     split_runs = interleaved = 0
-    for f in [UNEQUAL_NAMES] + [unequal_names(rng, shuffle=k % 2 == 1) for k in range(16)]:
+    for f in [UNEQUAL_NAMES] + [unequal_names(rng, shuffle=k % 2 == 1) for k in range(28)]:
         for order in STRATEGIES:
-            split_runs += len(split.groups(f.n, split.cuts(f, STRATEGIES[order](f)))) > 1
-            interleaved += _interleaved(f, order)
+            single = len(split.groups(f.n, split.cuts(f, STRATEGIES[order](f)))) == 1
+            split_runs += not single
+            interleaved += single and _interleaved(f, order)
             for engine in ("set", "label"):
                 for verify in ([], ["--verify"]):
                     options = ["--engine", engine, "--order", order, *verify]
@@ -189,6 +212,25 @@ def test_cli_lines_equal_the_single_search_on_unequal_names(tmp_path, capsys):
                     ), (f, options)
     assert split_runs > 20
     assert interleaved > 3
+
+
+@pytest.mark.parametrize("task", ["EE-ST", "CE-ST"])
+def test_verify_runs_the_single_search(monkeypatch, tmp_path, capsys, task):
+    # --verify checks each whole extension as the single search finds it
+    calls = []
+    search = split.enumerate_extensions
+
+    def spy(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(split, "enumerate_extensions", spy)
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(pairs_framework(8)))
+    out = _stdout(capsys, [str(path), "--task", task, "--verify"])
+    assert calls == []
+    assert _stdout(capsys, [str(path), "--task", task]) == out
+    assert len(calls) == 1
 
 
 def test_no_stable_extension_of_a_nonempty_framework_is_empty():
@@ -301,6 +343,20 @@ def test_34_pairs_are_written_in_512_blocks(tmp_path, monkeypatch):
     assert same
 
 
+def _rendered(f: Framework) -> tuple[list[str], Callable[[tuple[int, ...]], None]]:
+    """A list of output text, and a sink that appends an extension's line to it."""
+    out: list[str] = []
+    return out, lambda ext: out.append(format_extension(ext, f.names) + "\n")
+
+
+def _split_text(engine, f: Framework, pick) -> tuple[int, str]:
+    """The count and output text of the split search: the lines that it
+    forms, and those of a single search that it runs."""
+    out, sink = _rendered(f)
+    count = split.enumerate_extensions(engine, f, pick, sink, out.append)
+    return count, "".join(out)
+
+
 @pytest.mark.parametrize("cap", [0, 1, 3, 8])
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
 def test_stored_extensions_over_the_cap_fall_back(monkeypatch, engine, cap):
@@ -310,11 +366,9 @@ def test_stored_extensions_over_the_cap_fall_back(monkeypatch, engine, cap):
         concatenation(rng, False) for _ in range(20)
     ]:
         for pick in STRATEGIES.values():
-            single: list = []
-            count = engine.enumerate_extensions(f, pick, single.append)
-            found: list = []
-            assert split.enumerate_extensions(engine, f, pick, found.append) == count
-            assert found == single
+            single, sink = _rendered(f)
+            count = engine.enumerate_extensions(f, pick, sink)
+            assert _split_text(engine, f, pick) == (count, "".join(single))
             assert split.enumerate_extensions(engine, f, pick, None) == count
 
 
@@ -349,34 +403,56 @@ def _spy(monkeypatch, engine) -> list:
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
-@pytest.mark.parametrize("cap, falls_back", [(223, True), (224, False)])
-def test_the_cap_counts_stored_arguments(monkeypatch, engine, cap, falls_back):
+@pytest.mark.parametrize("cap, falls_back", [(927, True), (928, False)])
+def test_the_cap_counts_stored_characters(monkeypatch, engine, cap, falls_back):
     # the second group's one-extension chain makes each of its 16 extensions
-    # 4 + 10 = 14 arguments long, 224 in all, though there are only 16
+    # 4 + 10 = 14 arguments long, 224 in all, though there are only 16; each
+    # is stored as its piece of the line, a comma, 14 three-character names
+    # joined by 13 commas and "]\n": 58 characters, 928 in all
     f = chains_and_pairs(("chain", 30), ("pairs", 4), ("chain", 20))
     monkeypatch.setattr(split, "MAX_GROUPS", 2)
     monkeypatch.setattr(split, "MAX_STORED", cap)
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 30), (30, 58)]
-    single: list = []
-    assert engine.enumerate_extensions(f, STRATEGIES["lex"], single.append) == 16
+    single, sink = _rendered(f)
+    assert engine.enumerate_extensions(f, STRATEGIES["lex"], sink) == 16
     calls = _spy(monkeypatch, engine)
-    found: list = []
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 16
-    assert found == single
+    assert _split_text(engine, f, STRATEGIES["lex"]) == (16, "".join(single))
     assert ((f, None) in calls) == falls_back
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
-@pytest.mark.parametrize("cap, falls_back", [(3, True), (4, False)])
+@pytest.mark.parametrize("cap, falls_back", [(15, True), (16, False)])
 def test_the_cap_counts_every_stored_group(monkeypatch, engine, cap, falls_back):
-    # three pairs, three groups: the last two store two one-argument extensions each
+    # three pairs, three groups: the last two store two extensions each, as
+    # ",a2" and ",a3" (6 characters) and as ",a4]\n" and ",a5]\n" (10)
     f = pairs_framework(6)
     monkeypatch.setattr(split, "MAX_STORED", cap)
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 4), (4, 6)]
     calls = _spy(monkeypatch, engine)
-    found: list = []
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 8
+    assert _split_text(engine, f, STRATEGIES["lex"])[0] == 8
     assert ((f, None) in calls) == falls_back
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_long_names_fall_back(monkeypatch, engine):
+    # a pair, then 10 pairs whose first arguments all attack one more
+    # argument: a second group of 1,024 extensions of 10 or 11 names of
+    # 20,000 characters, about 200 MB of text, where a count of stored
+    # arguments would keep them all
+    names = [f"{i:02}" + "x" * 19998 for i in range(23)]
+    f = build(names, [(x, names[i ^ 1]) for i, x in enumerate(names[:22])]
+              + [(x, names[22]) for x in names[2:22:2]])
+    assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 23)]
+    calls = _spy(monkeypatch, engine)
+    count = 0
+
+    def sink(ext):
+        nonlocal count
+        count += 1
+
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], sink, pytest.fail) == 2048
+    assert count == 2048
+    assert (f, None) in calls
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
@@ -386,9 +462,7 @@ def test_no_later_group_is_searched_after_a_first_group_without_extension(monkey
                                 ("f", "g"), ("g", "f")])
     assert split.cuts(f, range(f.n)) == [3, 5]
     calls = _spy(monkeypatch, engine)
-    found: list = []
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], found.append) == 0
-    assert found == []
+    assert _split_text(engine, f, STRATEGIES["lex"]) == (0, "")
     assert [(g.names, limit) for g, limit in calls] == [(("a", "b", "c"), 1)]
 
 
@@ -418,10 +492,10 @@ def test_order_is_picked_once(monkeypatch):
         return range(f.n)
 
     f = pairs_framework(8)
-    assert split.enumerate_extensions(label_enum, f, pick, [].append) == 16
+    assert split.enumerate_extensions(label_enum, f, pick, [].append, [].append) == 16
     assert calls == [f]
     # over the cap the single search reuses the order
     monkeypatch.setattr(split, "MAX_STORED", 0)
     calls.clear()
-    assert split.enumerate_extensions(label_enum, f, pick, [].append) == 16
+    assert split.enumerate_extensions(label_enum, f, pick, [].append, [].append) == 16
     assert calls == [f]
