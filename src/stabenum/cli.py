@@ -7,6 +7,9 @@ mismatches).  The single search writes extensions as they are found, so a
 run that exits with 1 or 2 during the search may leave part of its output on
 stdout; the split search (:mod:`~stabenum.split`) writes its first line only
 once every later part is searched.
+
+:func:`main` pauses the cyclic garbage collector for its call and restores
+it; the other functions change no process state.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -70,6 +74,24 @@ def detect_format(source: str) -> str | None:
         if lowered.endswith("." + fmt):
             return fmt
     return None
+
+
+# digits per conversion of a printed count: Python refuses to convert an int
+# of more digits than its limit (4,300 by default, at least 640) to a string
+_DIGITS = 600
+
+
+def _decimal(k: int) -> str:
+    """The decimal digits of the count ``k >= 0``, converted :data:`_DIGITS`
+    digits at a time, so that a count of any size prints under Python's
+    digit limit without changing it."""
+    unit = 10**_DIGITS
+    pieces: list[str] = []
+    while k >= unit:
+        k, low = divmod(k, unit)
+        pieces.append(f"{low:0{_DIGITS}d}")
+    pieces.append(str(k))
+    return "".join(reversed(pieces))
 
 
 class _NotStable(Exception):
@@ -129,7 +151,7 @@ def execute(config: RunConfig, f: Framework) -> int:
                         f, STRATEGIES[config.order], sink, probe=probe, limit=limit
                     )
         if config.task == "CE-ST":
-            sys.stdout.write(f"COUNT {count}\n")
+            sys.stdout.write(f"COUNT {_decimal(count)}\n")
         elif config.task == "SE-ST" and count == 0:
             sys.stdout.write("NO\n")
         sys.stdout.flush()
@@ -231,35 +253,50 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    options = vars(parser.parse_args(argv))
-    source = options.pop("input", None)
-    gen = options.pop("gen", None)
-    try:
-        config = RunConfig(**options)
-    except ValueError as exc:
-        parser.error(str(exc))
+    """Run the ``stabenum`` command on ``argv``; returns the exit code.
 
-    if gen is not None:
-        if source is not None:
-            parser.error("pass either an input file or --gen, not both")
+    Usage errors raise ``SystemExit(1)`` from argparse.  The cyclic garbage
+    collector is paused for the call and switched back on afterwards if it
+    was on; nothing else of the process is changed.
+    """
+    # a run creates no reference cycles, so reference counting frees all it
+    # allocates, and the collector would only walk the live framework and
+    # search state over and over; test_no_run_leaves_cyclic_garbage pins it
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        parser = _build_parser()
+        options = vars(parser.parse_args(argv))
+        source = options.pop("input", None)
+        gen = options.pop("gen", None)
         try:
-            spec = parse_gen(gen)
+            config = RunConfig(**options)
         except ValueError as exc:
             parser.error(str(exc))
-        return execute(config, random_af(spec))
-    if source is None:
-        parser.error("an input file (or --gen) is required")
-    try:
-        with open(source, "r", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"stabenum: {exc}", file=sys.stderr)
-        return 1
-    except UnicodeDecodeError as exc:
-        print(f"stabenum: {source}: not UTF-8 text: {exc}", file=sys.stderr)
-        return 1
-    return run(config, text, source=source)
+
+        if gen is not None:
+            if source is not None:
+                parser.error("pass either an input file or --gen, not both")
+            try:
+                spec = parse_gen(gen)
+            except ValueError as exc:
+                parser.error(str(exc))
+            return execute(config, random_af(spec))
+        if source is None:
+            parser.error("an input file (or --gen) is required")
+        try:
+            with open(source, "r", encoding="utf-8-sig") as handle:
+                text = handle.read()
+        except OSError as exc:
+            print(f"stabenum: {exc}", file=sys.stderr)
+            return 1
+        except UnicodeDecodeError as exc:
+            print(f"stabenum: {source}: not UTF-8 text: {exc}", file=sys.stderr)
+            return 1
+        return run(config, text, source=source)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

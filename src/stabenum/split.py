@@ -26,9 +26,14 @@ therefore lists the nested product of the parts' lists, the first part
 outermost and the last varying fastest, and a part without an extension,
 a dead root included, leaves both outputs empty.
 
-Consecutive parts are joined into at most :data:`MAX_GROUPS` groups of about
-equal size, since each search has a fixed cost; a group is again a part.
-Listing renders each extension of a group as text once: its names in index
+Counting multiplies the counts of the parts, each searched on its own,
+since a search costs up to the product of its parts' counts.  A run of
+consecutive one-argument parts is searched as one part: each has one
+extension, or none if it attacks itself.
+
+Listing joins consecutive parts into at most :data:`MAX_GROUPS` groups of
+about equal size, since each search has a fixed cost; a group is again a
+part.  It renders each extension of a group as text once: its names in index
 order, joined by commas, as the piece of the output line that its group
 contributes.  Since the groups are consecutive ranges of indices, a line is
 its groups' pieces joined in nesting order.  A piece is never empty, since
@@ -207,6 +212,22 @@ def _stored(
     return found, room
 
 
+def _count(engine: ModuleType, f: Framework, order: Sequence[int], cut: list[int]) -> int:
+    """The number of stable extensions of ``f``: the product of the counts of
+    the parts between the cuts ``cut``, each searched on its own, with every
+    run of consecutive one-argument parts searched as one part."""
+    edges = [0, *cut, f.n]
+    # a cut between two one-argument parts is dropped
+    bounds = [0, *[c for a, c, b in zip(edges, cut, edges[2:]) if b - a > 2], f.n]
+    count = 1
+    for start, end in zip(bounds, bounds[1:]):
+        part = _given([x - start for x in order[start:end]])
+        count *= engine.enumerate_extensions(restrict(f, start, end), part, None)
+        if not count:
+            break
+    return count
+
+
 def enumerate_extensions(
     engine: ModuleType,
     f: Framework,
@@ -219,7 +240,8 @@ def enumerate_extensions(
     same count; ``engine`` is :mod:`~stabenum.set_enum` or
     :mod:`~stabenum.label_enum`.  Calls ``pick`` once.
 
-    Without ``sink`` it only counts.  With ``sink``, ``lines`` is required:
+    Without ``sink`` it only counts, searching each part between two cuts
+    on its own (see :func:`_count`).  With ``sink``, ``lines`` is required:
     where the order has no cut, or the stored pieces would exceed the cap,
     the single search reports each extension to ``sink``; otherwise
     ``lines`` receives their output lines, ``[name,...]`` in index order and
@@ -227,7 +249,10 @@ def enumerate_extensions(
     same line.
     """
     order = search_order(f, pick, None)
-    spans = groups(f.n, cuts(f, order))
+    cut = cuts(f, order)
+    if sink is None and cut:
+        return _count(engine, f, order, cut)
+    spans = groups(f.n, cut)
     if len(spans) == 1:
         return engine.enumerate_extensions(f, _given(order), sink)
     # a group is a range of indices, searched in its stretch of the order
@@ -235,14 +260,6 @@ def enumerate_extensions(
         (restrict(f, start, end), _given([x - start for x in order[start:end]]))
         for start, end in spans
     ]
-
-    if sink is None:
-        count = 1
-        for g, part_order in parts:
-            count *= engine.enumerate_extensions(g, part_order, None)
-            if not count:
-                break
-        return count
 
     g, part_order = parts[0]
     if not engine.enumerate_extensions(g, part_order, None, limit=1):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import decimal
+import gc
 import io
 import json
 import os
@@ -240,6 +242,101 @@ def test_main_keeps_the_recursion_limit(tmp_path, capsys):
     assert main([str(path), "--task", "SE-ST"]) == 0
     assert sys.getrecursionlimit() == limit
     assert capsys.readouterr().out == "[" + ",".join(f.names[::2]) + "]\n"
+
+
+# the inputs of the runs below, by file name
+_RUN_INPUTS = {
+    "h1.apx": H1_APX,
+    "pairs.apx": write_apx(pairs_framework(12)),
+    "cycle.apx": THREE_CYCLE,
+    "malformed.apx": "arg(a).\natt(a,b)\n",
+    "undeclared.apx": "arg(a).\natt(a,c).\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, code, max_stored",
+    [
+        pytest.param(["h1.apx"], 0, None, id="EE-ST"),
+        pytest.param(["h1.apx", "--task", "SE-ST"], 0, None, id="SE-ST"),
+        pytest.param(["h1.apx", "--task", "CE-ST"], 0, None, id="CE-ST"),
+        pytest.param(["h1.apx", "--engine", "set"], 0, None, id="set"),
+        pytest.param(["h1.apx", "--engine", "bruteforce"], 0, None, id="bruteforce"),
+        pytest.param(["h1.apx", "--verify"], 0, None, id="verify"),
+        pytest.param(["h1.apx", "--check-invariants"], 0, None, id="check-invariants"),
+        pytest.param(["h1.apx", "--trace", "trace.jsonl"], 0, None, id="trace"),
+        pytest.param(["h1.apx", "--order", "max-out"], 0, None, id="max-out"),
+        pytest.param(["pairs.apx"], 0, None, id="split"),
+        pytest.param(["pairs.apx", "--task", "CE-ST"], 0, None, id="split-count"),
+        # the split stores nothing and falls back to the single search
+        pytest.param(["pairs.apx"], 0, 0, id="split-full"),
+        pytest.param(["cycle.apx", "--task", "SE-ST"], 0, None, id="no-extension"),
+        pytest.param(["malformed.apx"], 1, None, id="parse-error"),
+        pytest.param(["undeclared.apx"], 1, None, id="undeclared"),
+        pytest.param(["--gen", "12,0.2,1"], 0, None, id="gen"),
+    ],
+)
+def test_no_run_leaves_cyclic_garbage(tmp_path, capsys, monkeypatch, argv, code, max_stored):
+    # main pauses the cyclic collector on the grounds that a run frees all it
+    # allocates by reference counting.  Usage errors are exempt: argparse
+    # leaves 6 cyclic objects (a HelpFormatter and its sections) for each,
+    # but a usage error ends the process.  The first parser build leaves 30,
+    # once per process, so the parser is built before the measured call
+    for name, text in _RUN_INPUTS.items():
+        (tmp_path / name).write_text(text)
+    if max_stored is not None:
+        monkeypatch.setattr(split, "MAX_STORED", max_stored)
+    monkeypatch.chdir(tmp_path)
+    assert main(["h1.apx"]) == 0  # builds the cached parser
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        leaked = sorted({type(o).__qualname__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert found == 0, leaked
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_collector(tmp_path, capsys, monkeypatch, enabled):
+    path = tmp_path / "h1.apx"
+    path.write_text(H1_APX)
+    seen = []
+    cli_execute = cli.execute
+
+    def spy(config, f):
+        seen.append(gc.isenabled())
+        return cli_execute(config, f)
+
+    def broken(config, f):
+        raise RuntimeError("forced for the test")
+
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        monkeypatch.setattr(cli, "execute", spy)
+        assert main([str(path)]) == 0
+        after_return = gc.isenabled()
+        with pytest.raises(SystemExit):
+            main([])
+        after_usage_error = gc.isenabled()
+        monkeypatch.setattr(cli, "execute", broken)
+        with pytest.raises(RuntimeError):
+            main([str(path)])
+        after_exception = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert seen == [False]
+    assert [after_return, after_usage_error, after_exception] == [enabled] * 3
 
 
 def test_main_missing_file(capsys):
@@ -513,6 +610,26 @@ def test_main_reuses_one_parser_built_on_its_first_call(capsys):
     proc = subprocess.run([sys.executable, "-E", "-s", "-c", child, str(src)],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_count_past_the_digit_limit_prints_in_full(tmp_path, capsys):
+    # 2^14400 has 4,335 digits, past Python's default limit of 4,300 on
+    # converting an int to a string; Decimal has no such limit
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(pairs_framework(28_800)))
+    with decimal.localcontext() as context:
+        context.prec = 5000
+        digits = str(decimal.Decimal(2) ** 14_400)
+    assert len(digits) == 4335
+    assert main([str(path), "--task", "CE-ST"]) == 0
+    assert capsys.readouterr().out == f"COUNT {digits}\n"
+
+
+@pytest.mark.parametrize("k", [0, 7, 10**600 - 1, 10**600, 10**600 + 1, 10**1200, 3**3000])
+def test_count_digits(k):
+    with decimal.localcontext() as context:
+        context.prec = 5000
+        assert cli._decimal(k) == str(decimal.Decimal(k))
 
 
 def test_parse_gen_forms():

@@ -478,10 +478,79 @@ def test_a_part_without_extension_empties_the_output(capsys, tmp_path):
 
 
 def test_count_on_many_pairs_is_the_product(tmp_path, capsys):
-    # 2^100 leaves for the single search; 32 small searches for the split
+    # 2^(n/2) leaves for the single search; one small search per pair for
+    # the split, where 32 groups of 125 pairs each never finished on 4,000
     path = tmp_path / "pairs.apx"
-    path.write_text(write_apx(pairs_framework(200)))
-    assert _stdout(capsys, [str(path), "--task", "CE-ST"]) == f"COUNT {2 ** 100}\n"
+    for n in (200, 8000):
+        path.write_text(write_apx(pairs_framework(n)))
+        assert _stdout(capsys, [str(path), "--task", "CE-ST"]) == f"COUNT {2 ** (n // 2)}\n"
+
+
+def test_count_on_isolated_arguments_is_one_search(tmp_path, capsys, monkeypatch):
+    calls = _spy(monkeypatch, label_enum)
+    path = tmp_path / "isolated.apx"
+    path.write_text(write_apx(build([f"a{i}" for i in range(20_000)], [])))
+    assert _stdout(capsys, [str(path), "--task", "CE-ST"]) == "COUNT 1\n"
+    assert len(calls) == 1
+
+
+def pieces_framework(rng: random.Random) -> Framework:
+    """Isolated arguments, self-attackers, mutual pairs and small random
+    frameworks, declared one after another."""
+    names: list[str] = []
+    attacks: list[tuple[str, str]] = []
+    for part in range(rng.randint(1, 8)):
+        kind = rng.choice(["isolated", "isolated", "pair", "pair", "loop", "random"])
+        if kind == "random":
+            g = random_af(GenSpec(rng.randint(1, 4), 0.4, seed=rng.randrange(1 << 30),
+                                  allow_self_loops=rng.random() < 0.2))
+        else:
+            g = build(["x", "y"][: 1 + (kind == "pair")],
+                      {"isolated": [], "loop": [("x", "x")],
+                       "pair": [("x", "y"), ("y", "x")]}[kind])
+        local = [f"p{part}_{x}" for x in range(g.n)]
+        names += local
+        attacks += [(local[x], local[y]) for x, y in g.attacks]
+    return build(names, attacks)
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_count_equals_the_single_search(engine):
+    rng = random.Random(20)
+    for _ in range(150):
+        f = pieces_framework(rng)
+        for order in STRATEGIES.values():
+            assert split.enumerate_extensions(engine, f, order, None) == (
+                engine.enumerate_extensions(f, order, None)
+            ), f
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_count_searches_each_part_and_each_run_of_single_arguments_once(monkeypatch, engine):
+    # two isolated arguments, a pair, a chain of 3 and three isolated ones:
+    # four searches, the runs of one-argument parts among them
+    f = build([f"a{i}" for i in range(10)],
+              [("a2", "a3"), ("a3", "a2"), ("a4", "a5"), ("a5", "a6")])
+    calls = _spy(monkeypatch, engine)
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 2
+    assert [g.names for g, _ in calls] == [
+        ("a0", "a1"), ("a2", "a3"), ("a4", "a5", "a6"), ("a7", "a8", "a9")
+    ]
+    # a self-attacker among them has no extension, and neither has f
+    f = build(f.names, [*((f.names[x], f.names[y]) for x, y in f.attacks), ("a8", "a8")])
+    calls.clear()
+    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 0
+    assert calls[-1][0].self_loop == (False, True, False)
+
+
+def test_cuts_too_early_for_a_second_group_run_the_single_search(monkeypatch):
+    # the one cut, at 2 of 100, is before the first group could end (100/32)
+    f = chains_and_pairs(("pairs", 1), ("chain", 98))
+    assert split.cuts(f, range(f.n)) == [2]
+    assert split.groups(f.n, [2]) == [(0, 100)]
+    calls = _spy(monkeypatch, label_enum)
+    assert _split_text(label_enum, f, STRATEGIES["lex"])[0] == 2
+    assert [g for g, _ in calls] == [f]
 
 
 def test_order_is_picked_once(monkeypatch):
