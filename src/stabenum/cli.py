@@ -28,7 +28,7 @@ from .framework import Framework, Frozen, UnknownArgument
 from .generators import GenSpec, random_af
 from .invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from .oracle import TooLarge, enumerate_bruteforce, is_stable
-from .strategies import NO_PROBE, STRATEGIES, FanOut, Probe
+from .strategies import NO_PROBE, STRATEGIES, FanOut, Probe, deliver
 
 TASKS = ("EE-ST", "SE-ST", "CE-ST")
 ENGINES = ("bruteforce", "set", "label")
@@ -123,11 +123,9 @@ def execute(config: RunConfig, f: Framework) -> int:
             if config.trace is not None
             else contextlib.nullcontext()
         ) as trace:
+            sink = report if verify or write else None
             if config.engine == "bruteforce":
-                extensions = enumerate_bruteforce(f)[:limit]
-                for ext in extensions:
-                    report(ext)
-                count = len(extensions)
+                count = deliver(enumerate_bruteforce(f), sink, limit)
             else:
                 engine = set_enum if config.engine == "set" else label_enum
                 probe: Probe = NO_PROBE
@@ -141,7 +139,6 @@ def execute(config: RunConfig, f: Framework) -> int:
                         f, lambda event: trace.write(json.dumps(event) + "\n")
                     )
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
-                sink = report if verify or write else None
                 if probe is NO_PROBE and limit is None and not verify:
                     count = split.enumerate_extensions(
                         engine, f, STRATEGIES[config.order], sink, sys.stdout.write

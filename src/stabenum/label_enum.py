@@ -43,12 +43,12 @@ relabelled argument's targets in one pass.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from heapq import heappop, heappush
 from itertools import compress
 
 from .framework import Framework
-from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
+from .strategies import NO_PROBE, BranchOrder, Probe, Sink, deliver, lex_order, search_order
 
 
 class Label(enum.IntEnum):
@@ -320,31 +320,24 @@ def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PRO
     return _leave_blank(state, f, x, MUST_OUT, probe)
 
 
-def enumerate_extensions(
-    f: Framework,
-    pick: BranchOrder = lex_order,
-    sink: Callable[[tuple[int, ...]], None] | None = None,
-    *,
-    probe: Probe = NO_PROBE,
-    limit: int | None = None,
-) -> int:
-    """Report every stable extension exactly once; returns how many were found.
+def extensions(
+    f: Framework, order: Sequence[int], probe: Probe = NO_PROBE
+) -> Iterator[tuple[int, ...]]:
+    """Yield every stable extension once, its arguments ascending.
 
     The search branches on the first blank argument of the permutation
-    ``pick(f)``, trying it in and then out; the out-branches still to try
+    ``order``, trying it in and then out; the out-branches still to try
     wait on an explicit stack.  ``probe`` sees every branch, forced argument
     and dead end, once each, and a state boundary on entry to each search
     frame (the root, and each in- and out-branch) and after each worklist
-    assignment that keeps the branch alive.  ``limit``, at least 1, stops
-    the search after that many extensions were delivered to ``sink``.  The
-    leaf and out-branch lemmas (see the module docstring) are asserted.
+    assignment that keeps the branch alive.  The search advances only when
+    the next extension is asked for.  The leaf and out-branch lemmas (see
+    the module docstring) are asserted.
     """
-    order = search_order(f, pick, limit)
     n = len(order)
     state = initial_state(f, probe)
     if state.dead_root:
-        return 0
-    found = 0
+        return
     # every argument before the cursor in ``order`` is labelled; labels only
     # leave blank along a path, so the cursor only moves forward on it
     cursor = 0
@@ -367,16 +360,27 @@ def enumerate_extensions(
                 probe.state(state)
                 continue
             assert is_solution(state)
-            found += 1
-            if sink is not None:
-                sink(state.members(IN))
-            if limit is not None and found >= limit:
-                return found
+            yield state.members(IN)
         # backtrack to the deepest branch whose out-branch is still to try
         if not pending:
-            return found
+            return
         x, cursor = pending.pop()
         state.rollback()
         excluded = mark_must_out(state, f, x, probe)
         assert excluded, f"excluding branch argument {f.names[x]} ended its branch"
         probe.state(state)
+
+
+def enumerate_extensions(
+    f: Framework,
+    pick: BranchOrder = lex_order,
+    sink: Sink | None = None,
+    *,
+    probe: Probe = NO_PROBE,
+    limit: int | None = None,
+) -> int:
+    """Report every stable extension exactly once; returns how many were found.
+
+    The search is :func:`extensions` in the order ``pick(f)``; ``limit``, at
+    least 1, stops it once that many extensions were delivered to ``sink``."""
+    return deliver(extensions(f, search_order(f, pick), probe), sink, limit)

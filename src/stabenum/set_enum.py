@@ -12,10 +12,10 @@ values copied per branch.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator, Sequence
 
 from .framework import Framework, Frozen, attacked_by, attackers_of, initial_partition
-from .strategies import NO_PROBE, BranchOrder, Probe, lex_order, search_order
+from .strategies import NO_PROBE, BranchOrder, Probe, Sink, deliver, lex_order, search_order
 
 
 class SetState(Frozen):
@@ -116,26 +116,18 @@ def propagate(state: SetState, f: Framework, probe: Probe = NO_PROBE) -> SetStat
             return state
 
 
-def enumerate_extensions(
-    f: Framework,
-    pick: BranchOrder = lex_order,
-    sink: Callable[[tuple[int, ...]], None] | None = None,
-    *,
-    probe: Probe = NO_PROBE,
-    limit: int | None = None,
-) -> int:
-    """Report every stable extension exactly once; returns how many were found.
+def extensions(
+    f: Framework, order: Sequence[int], probe: Probe = NO_PROBE
+) -> Iterator[tuple[int, ...]]:
+    """Yield every stable extension once, its arguments ascending.
 
-    The search branches on the first argument of the permutation ``pick(f)``
-    that is still in the choice set, trying it in and then out; the out-branches
-    still to try wait on an explicit stack, so the depth of the search is
-    not bounded by Python's recursion limit.  ``probe`` sees every branch,
-    forced argument and dead end, and every state the search moves to;
-    ``limit``, at least 1, stops the search once that many extensions were
-    delivered.
+    The search branches on the first argument of the permutation ``order``
+    that is still in the choice set, trying it in and then out; the
+    out-branches still to try wait on an explicit stack, so the depth of the
+    search is not bounded by Python's recursion limit.  ``probe`` sees every
+    branch, forced argument and dead end, and every state the search moves
+    to.  The search advances only when the next extension is asked for.
     """
-    order = search_order(f, pick, limit)
-    found = 0
     # (state, x) per branch on x whose out-branch is still to try
     pending: list[tuple[SetState, int]] = []
     state = start_state(f)
@@ -150,14 +142,25 @@ def enumerate_extensions(
             if after is not None:
                 # choice is empty, so a tabu argument would have been a dead end
                 assert is_solution(after)
-                found += 1
-                if sink is not None:
-                    sink(tuple(sorted(after.chosen)))
-                if limit is not None and found >= limit:
-                    return found
+                yield tuple(sorted(after.chosen))
             if not pending:
-                return found
+                return
             after, x = pending.pop()
             state = SetState(after.chosen, after.defeated,
                              after.choice - {x}, after.tabu | {x})
         probe.state(state)
+
+
+def enumerate_extensions(
+    f: Framework,
+    pick: BranchOrder = lex_order,
+    sink: Sink | None = None,
+    *,
+    probe: Probe = NO_PROBE,
+    limit: int | None = None,
+) -> int:
+    """Report every stable extension exactly once; returns how many were found.
+
+    The search is :func:`extensions` in the order ``pick(f)``; ``limit``, at
+    least 1, stops it once that many extensions were delivered to ``sink``."""
+    return deliver(extensions(f, search_order(f, pick), probe), sink, limit)

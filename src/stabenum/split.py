@@ -44,7 +44,9 @@ streams; once the stored pieces would hold more than :data:`MAX_STORED`
 characters in all, it searches the whole framework instead, before anything
 is reported.  Before a later group is searched, the first group is searched
 up to its first extension, and a later group is searched only once every
-group before it has shown an extension.  The single search, too, searches
+group before it has shown an extension.  The first group's search is then
+suspended, and resumed at that extension for the product once every later
+group is stored: it is not repeated.  The single search, too, searches
 the first group up to its first extension and then each later group in
 full, as long as every group before it has an extension: in the subtree
 that follows the first labelling of the groups before it.  So what the
@@ -63,19 +65,18 @@ block's lines, in order.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from itertools import chain
 from math import prod
 from types import ModuleType
 
 from .framework import Framework
-from .strategies import BranchOrder, search_order
+from .strategies import BranchOrder, Sink, deliver, search_order
 
 MAX_GROUPS = 32
 # characters, summed over the stored pieces
 MAX_STORED = 1 << 20
 # characters of line tails per call of the line writer
 BLOCK = 1 << 14
-
-Sink = Callable[[tuple[int, ...]], None]
 
 
 def cuts(f: Framework, order: Sequence[int]) -> list[int]:
@@ -138,10 +139,6 @@ def _given(order: Sequence[int]) -> BranchOrder:
     return lambda g: order
 
 
-class _Full(Exception):
-    """The stored pieces would hold more than :data:`MAX_STORED` characters."""
-
-
 def _nest(prefix: str, lists: list[list], j: int, lines: Callable[[str], object]) -> None:
     """For each prefix formed from ``prefix`` and one piece of each of
     ``lists[j:-1]``, the last list varying fastest, pass ``lines`` the lines
@@ -190,28 +187,6 @@ def _text(g: Framework, head: str, tail: str) -> Callable[[tuple[int, ...]], str
     return lambda ext: head + ",".join([names[x] for x in sorted(ext)]) + tail
 
 
-def _stored(
-    engine: ModuleType, g: Framework, pick: BranchOrder, piece: Callable[[tuple[int, ...]], str],
-    room: int,
-) -> tuple[list[str], int]:
-    """The pieces of ``g``'s extensions and the room left; raises
-    :class:`_Full` once the pieces would hold more than ``room``
-    characters."""
-    found: list[str] = []
-    add = found.append
-
-    def store(ext: tuple[int, ...]) -> None:
-        nonlocal room
-        text = piece(ext)
-        room -= len(text)
-        if room < 0:
-            raise _Full
-        add(text)
-
-    engine.enumerate_extensions(g, pick, store)
-    return found, room
-
-
 def _count(engine: ModuleType, f: Framework, order: Sequence[int], cut: list[int]) -> int:
     """The number of stable extensions of ``f``: the product of the counts of
     the parts between the cuts ``cut``, each searched on its own, with every
@@ -248,7 +223,7 @@ def enumerate_extensions(
     a newline, a block of whole lines per call.  ``sink`` must write the
     same line.
     """
-    order = search_order(f, pick, None)
+    order = search_order(f, pick)
     cut = cuts(f, order)
     if sink is None and cut:
         return _count(engine, f, order, cut)
@@ -257,31 +232,33 @@ def enumerate_extensions(
         return engine.enumerate_extensions(f, _given(order), sink)
     # a group is a range of indices, searched in its stretch of the order
     parts = [
-        (restrict(f, start, end), _given([x - start for x in order[start:end]]))
+        (restrict(f, start, end), [x - start for x in order[start:end]])
         for start, end in spans
     ]
 
-    g, part_order = parts[0]
-    if not engine.enumerate_extensions(g, part_order, None, limit=1):
+    first = engine.extensions(*parts[0])
+    head = next(first, None)
+    if head is None:
         return 0
     stored: list[list[str]] = []
     room = MAX_STORED
-    try:
-        for i, (g, part_order) in enumerate(parts[1:], 2):
-            piece = _text(g, ",", "]\n" if i == len(parts) else "")
-            found, room = _stored(engine, g, part_order, piece, room)
-            if not found:
-                return 0
-            stored.append(found)
-    except _Full:
-        return engine.enumerate_extensions(f, _given(order), sink)
+    for i, (g, part_order) in enumerate(parts[1:], 2):
+        piece = _text(g, ",", "]\n" if i == len(parts) else "")
+        found: list[str] = []
+        for ext in engine.extensions(g, part_order):
+            text = piece(ext)
+            room -= len(text)
+            if room < 0:
+                return engine.enumerate_extensions(f, _given(order), sink)
+            found.append(text)
+        if not found:
+            return 0
+        stored.append(found)
 
-    count = prod(map(len, stored))
     blocks = _blocks(stored)
-    g, part_order = parts[0]
-    first = _text(g, "[", "")
+    opening = _text(parts[0][0], "[", "")
 
     def expand(ext: tuple[int, ...]) -> None:
-        _nest(first(ext), blocks, 0, lines)
+        _nest(opening(ext), blocks, 0, lines)
 
-    return engine.enumerate_extensions(g, part_order, expand) * count
+    return deliver(chain((head,), first), expand, None) * prod(map(len, stored))

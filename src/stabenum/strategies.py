@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from itertools import islice
 
 from .framework import Framework
 
 # a static branching order: a permutation of the arguments, computed once per
 # search; the engines branch on its first argument that is still free
 BranchOrder = Callable[[Framework], Sequence[int]]
+# receives each extension reported, its arguments ascending
+Sink = Callable[[tuple[int, ...]], None]
 
 
-def search_order(f: Framework, pick: BranchOrder, limit: int | None) -> Sequence[int]:
-    """The order ``pick(f)``; ``ValueError`` for a limit below 1, or for an order
-    that is not a sequence or not a permutation."""
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+def search_order(f: Framework, pick: BranchOrder) -> Sequence[int]:
+    """The order ``pick(f)``; ``ValueError`` for an order that is not a
+    sequence or not a permutation."""
     order = pick(f)
     if type(order) is range and order == range(f.n):
         return order
@@ -26,6 +27,19 @@ def search_order(f: Framework, pick: BranchOrder, limit: int | None) -> Sequence
     if sorted(order) != list(range(f.n)):
         raise ValueError(f"branching order is not a permutation of range({f.n})")
     return order
+
+
+def deliver(extensions: Iterable[tuple[int, ...]], sink: Sink | None, limit: int | None) -> int:
+    """Pass ``sink`` each of the first ``limit`` (all, for None) of
+    ``extensions`` and return how many there were, never drawing one more;
+    ``ValueError`` for a limit below 1, before the first is drawn."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be at least 1, got {limit}")
+    count = 0
+    for count, ext in enumerate(islice(extensions, limit), 1):
+        if sink is not None:
+            sink(ext)
+    return count
 
 
 class Probe:

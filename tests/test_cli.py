@@ -33,10 +33,12 @@ def test_run_enumerate_all_label(capsys):
 
 @pytest.mark.parametrize("engine", ["bruteforce", "set", "label"])
 def test_all_engines_agree_on_fixture(engine, capsys):
-    code = run(RunConfig(engine=engine), H1_APX, source="h1.apx")
-    output = capsys.readouterr().out
-    assert code == 0
-    assert output == "[a,c,d]\n[b,e]\n"
+    for task, expected in (("EE-ST", "[a,c,d]\n[b,e]\n"), ("SE-ST", "[a,c,d]\n"),
+                           ("CE-ST", "COUNT 2\n")):
+        code = run(RunConfig(task=task, engine=engine), H1_APX, source="h1.apx")
+        output = capsys.readouterr().out
+        assert code == 0
+        assert output == expected, task
 
 
 def test_run_tgf_format(capsys):

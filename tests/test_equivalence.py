@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import sys
 
@@ -11,7 +12,7 @@ from stabenum import label_enum, set_enum
 from stabenum.generators import GenSpec, random_af
 from stabenum.invariants import Checker, check_label_state
 from stabenum.oracle import enumerate_bruteforce, is_stable
-from stabenum.strategies import STRATEGIES, SearchStats
+from stabenum.strategies import STRATEGIES, SearchStats, deliver, search_order
 
 from conftest import frameworks, h1_framework, pairs_framework
 
@@ -75,12 +76,15 @@ def test_search_counters_pinned(f, order, set_counters, label_counters):
 
 
 def _branch_parity(f, order):
-    """Run both engines with ``order``; returns (set, label) (extensions, branches)."""
+    """Run both engines with ``order``; returns (set, label) (extensions, branches).
+
+    Each engine's generator yields the sequence that its sink receives."""
     runs = []
     for engine in (set_enum, label_enum):
         stats = SearchStats()
         found: list = []
         engine.enumerate_extensions(f, STRATEGIES[order], found.append, probe=stats)
+        assert list(engine.extensions(f, search_order(f, STRATEGIES[order]))) == found
         runs.append((sorted(found), stats.branches))
     return runs
 
@@ -129,7 +133,14 @@ def test_limit_below_one_is_rejected(engine, limit):
     found: list = []
     with pytest.raises(ValueError, match="limit must be at least 1"):
         engine.enumerate_extensions(h1_framework(), sink=found.append, limit=limit)
+    # deliver checks the limit before it starts the search
+    stats = SearchStats()
+    extensions = engine.extensions(h1_framework(), range(6), stats)
+    with pytest.raises(ValueError, match="limit must be at least 1"):
+        deliver(extensions, found.append, limit)
+    assert inspect.getgeneratorstate(extensions) == inspect.GEN_CREATED
     assert found == []
+    assert stats.branches == stats.propagations == 0
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,9 @@ completion is left; the two engines must branch on the same states and meet
 their dead ends in the same order.  Forcing sequences are not compared: the
 engines force in different orders by design.  Searching each independent part
 of the order apart (:mod:`stabenum.split`) must write the single search's
-lines in the same sequence.
+lines in the same sequence, also with a cap of 0 stored characters, which
+makes every split with more than one group fall back to the single search
+while its first group's search is suspended.
 
 Run as a script to sweep every framework on ``n`` arguments, or every
 ``stride``-th one if a stride follows::
@@ -97,14 +99,20 @@ def sweep(n: int, stride: int = 1) -> list[str]:
                 if witness.unsound:
                     failures.append(f"{name} {tag}: unsound events {witness.unsound}")
                 lines = [format_extension(ext, f.names) + "\n" for ext in found]
-                product: list = []
-                split.enumerate_extensions(
-                    engine, f, STRATEGIES[order],
-                    lambda ext: product.append(format_extension(ext, f.names) + "\n"),
-                    product.append,
-                )
-                if "".join(product) != "".join(lines):
-                    failures.append(f"{name} {tag}: split wrote {product}, single search {lines}")
+                for cap in (split.MAX_STORED, 0):
+                    product: list = []
+                    stored, split.MAX_STORED = split.MAX_STORED, cap
+                    try:
+                        split.enumerate_extensions(
+                            engine, f, STRATEGIES[order],
+                            lambda ext: product.append(format_extension(ext, f.names) + "\n"),
+                            product.append,
+                        )
+                    finally:
+                        split.MAX_STORED = stored
+                    if "".join(product) != "".join(lines):
+                        failures.append(f"{name} {tag}: split with cap {cap} wrote {product}, "
+                                        f"single search {lines}")
                 events.append(witness.events)
             if len(events) == 2 and events[0] != events[1]:
                 failures.append(f"{tag}: branch and dead-end events differ")

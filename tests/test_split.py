@@ -389,16 +389,34 @@ def chains_and_pairs(*pieces: tuple[str, int]) -> Framework:
     return build(names, attacks)
 
 
-def _spy(monkeypatch, engine) -> list:
-    """Record the framework and limit of each search that ``engine`` runs."""
+class _Search:
+    """One search that a spy saw: its framework, and how often its
+    extensions were asked for."""
+
+    def __init__(self, g: Framework, extensions) -> None:
+        self.g = g
+        self.advances = 0
+        self._extensions = extensions
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.advances += 1
+        return next(self._extensions)
+
+
+def _spy(monkeypatch, engine) -> list[_Search]:
+    """Record each search that ``engine`` starts: a group's search, and each
+    one that ``engine.enumerate_extensions`` runs."""
     calls = []
-    search = engine.enumerate_extensions
+    search = engine.extensions
 
-    def spy(g, pick, sink, **kwargs):
-        calls.append((g, kwargs.get("limit")))
-        return search(g, pick, sink, **kwargs)
+    def spy(g, *args):
+        calls.append(_Search(g, search(g, *args)))
+        return calls[-1]
 
-    monkeypatch.setattr(engine, "enumerate_extensions", spy)
+    monkeypatch.setattr(engine, "extensions", spy)
     return calls
 
 
@@ -417,7 +435,7 @@ def test_the_cap_counts_stored_characters(monkeypatch, engine, cap, falls_back):
     assert engine.enumerate_extensions(f, STRATEGIES["lex"], sink) == 16
     calls = _spy(monkeypatch, engine)
     assert _split_text(engine, f, STRATEGIES["lex"]) == (16, "".join(single))
-    assert ((f, None) in calls) == falls_back
+    assert (f in [c.g for c in calls]) == falls_back
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
@@ -430,7 +448,7 @@ def test_the_cap_counts_every_stored_group(monkeypatch, engine, cap, falls_back)
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 4), (4, 6)]
     calls = _spy(monkeypatch, engine)
     assert _split_text(engine, f, STRATEGIES["lex"])[0] == 8
-    assert ((f, None) in calls) == falls_back
+    assert (f in [c.g for c in calls]) == falls_back
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
@@ -452,18 +470,35 @@ def test_long_names_fall_back(monkeypatch, engine):
 
     assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], sink, pytest.fail) == 2048
     assert count == 2048
-    assert (f, None) in calls
+    assert f in [c.g for c in calls]
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
 def test_no_later_group_is_searched_after_a_first_group_without_extension(monkeypatch, engine):
-    # the odd cycle first: the single search stops at once, and so does the split
+    # the odd cycle first: the single search stops at once, and so does the
+    # split, which asks the first group for one extension and gets none
     f = build(list("abcdefg"), [("a", "b"), ("b", "c"), ("c", "a"), ("d", "e"), ("e", "d"),
                                 ("f", "g"), ("g", "f")])
     assert split.cuts(f, range(f.n)) == [3, 5]
     calls = _spy(monkeypatch, engine)
     assert _split_text(engine, f, STRATEGIES["lex"]) == (0, "")
-    assert [(g.names, limit) for g, limit in calls] == [(("a", "b", "c"), 1)]
+    assert [(c.g.names, c.advances) for c in calls] == [(("a", "b", "c"), 1)]
+
+
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_each_group_is_searched_once(monkeypatch, engine):
+    # three pairs, three groups: the first group's search stops at its first
+    # extension while the later groups are stored, and is then resumed for
+    # the product; each search is drawn to its end, two extensions and the
+    # end of the search
+    f = pairs_framework(6)
+    single, sink = _rendered(f)
+    assert engine.enumerate_extensions(f, STRATEGIES["lex"], sink) == 8
+    calls = _spy(monkeypatch, engine)
+    assert _split_text(engine, f, STRATEGIES["lex"]) == (8, "".join(single))
+    assert [(c.g.names, c.advances) for c in calls] == [
+        (("a0", "a1"), 3), (("a2", "a3"), 3), (("a4", "a5"), 3)
+    ]
 
 
 def test_a_part_without_extension_empties_the_output(capsys, tmp_path):
@@ -533,14 +568,14 @@ def test_count_searches_each_part_and_each_run_of_single_arguments_once(monkeypa
               [("a2", "a3"), ("a3", "a2"), ("a4", "a5"), ("a5", "a6")])
     calls = _spy(monkeypatch, engine)
     assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 2
-    assert [g.names for g, _ in calls] == [
+    assert [c.g.names for c in calls] == [
         ("a0", "a1"), ("a2", "a3"), ("a4", "a5", "a6"), ("a7", "a8", "a9")
     ]
     # a self-attacker among them has no extension, and neither has f
     f = build(f.names, [*((f.names[x], f.names[y]) for x, y in f.attacks), ("a8", "a8")])
     calls.clear()
     assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 0
-    assert calls[-1][0].self_loop == (False, True, False)
+    assert calls[-1].g.self_loop == (False, True, False)
 
 
 def test_cuts_too_early_for_a_second_group_run_the_single_search(monkeypatch):
@@ -550,7 +585,7 @@ def test_cuts_too_early_for_a_second_group_run_the_single_search(monkeypatch):
     assert split.groups(f.n, [2]) == [(0, 100)]
     calls = _spy(monkeypatch, label_enum)
     assert _split_text(label_enum, f, STRATEGIES["lex"])[0] == 2
-    assert [g for g, _ in calls] == [f]
+    assert [c.g for c in calls] == [f]
 
 
 def test_order_is_picked_once(monkeypatch):
