@@ -6,7 +6,7 @@ reader, 2 for internal violations (invariant check failures, verification
 mismatches).  The single search writes extensions as they are found, so a
 run that exits with 1 or 2 during the search may leave part of its output on
 stdout; the split search (:mod:`~stabenum.split`) writes its first line only
-once every later part is searched.
+once every later part is searched, and nothing where it returns None.
 
 :func:`main` pauses the cyclic garbage collector for its call and restores
 it; the other functions change no process state.
@@ -28,7 +28,7 @@ from .framework import Framework, Frozen, UnknownArgument
 from .generators import GenSpec, random_af
 from .invariants import Checker, InvariantViolation, check_label_state, check_set_state
 from .oracle import TooLarge, enumerate_bruteforce, is_stable
-from .strategies import NO_PROBE, STRATEGIES, FanOut, Probe, deliver
+from .strategies import NO_PROBE, STRATEGIES, FanOut, Probe, deliver, search_order
 
 TASKS = ("EE-ST", "SE-ST", "CE-ST")
 ENGINES = ("bruteforce", "set", "label")
@@ -101,12 +101,11 @@ class _NotStable(Exception):
 def execute(config: RunConfig, f: Framework) -> int:
     """Enumerate on an already-built framework; returns the exit code.
 
-    The engine's sink verifies (with ``--verify``) and writes each extension
-    to ``sys.stdout`` as it is found.  ``EE-ST`` and ``CE-ST`` without a
-    probe and without ``--verify`` search each independent part of the order
-    apart (see :mod:`~stabenum.split`), with the same output: the split
-    hands ``sys.stdout.write`` the lines of the product, a block of whole
-    lines per call, and the sink only the extensions of a single search.
+    The order is picked once.  ``EE-ST`` and ``CE-ST`` without a probe and
+    without ``--verify`` first search each independent part of it apart
+    (see :mod:`~stabenum.split`), with the same output.  Where the split
+    returns None, and for every other run, the single search runs here; its
+    sink verifies (with ``--verify``) and writes each extension as it is found.
     """
     limit = 1 if config.task == "SE-ST" else None
     verify, write = config.verify, config.task != "CE-ST"
@@ -139,13 +138,14 @@ def execute(config: RunConfig, f: Framework) -> int:
                         f, lambda event: trace.write(json.dumps(event) + "\n")
                     )
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
+                order = search_order(f, STRATEGIES[config.order])
+                count = None
                 if probe is NO_PROBE and limit is None and not verify:
-                    count = split.enumerate_extensions(
-                        engine, f, STRATEGIES[config.order], sink, sys.stdout.write
-                    )
-                else:
+                    count = (split.write(engine, f, order, sys.stdout.write) if write
+                             else split.count(engine, f, order))
+                if count is None:
                     count = engine.enumerate_extensions(
-                        f, STRATEGIES[config.order], sink, probe=probe, limit=limit
+                        f, lambda g: order, sink, probe=probe, limit=limit
                     )
         if config.task == "CE-ST":
             sys.stdout.write(f"COUNT {_decimal(count)}\n")

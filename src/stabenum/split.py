@@ -7,8 +7,10 @@ arguments into ranges of indices that share no attack, each searched in its
 stretch of the order, and the stable extensions of the framework are the
 unions of one stable extension of each part.  The single search of the whole
 framework searches every later part again for each extension of the earlier
-ones; :func:`enumerate_extensions` searches each part once, as a framework of
-its own, and reports the product of the parts' extension lists.
+ones; :func:`count` and :func:`write` search each part once, as a framework
+of its own, and count or write the product of the parts' extension lists.
+Where they do not apply they return None, and the caller runs the single
+search.
 
 The product comes in the single search's order.  Both engines branch on the
 first argument of the order that is still free, and propagation never
@@ -29,29 +31,31 @@ a dead root included, leaves both outputs empty.
 Counting multiplies the counts of the parts, each searched on its own,
 since a search costs up to the product of its parts' counts.  A run of
 consecutive one-argument parts is searched as one part: each has one
-extension, or none if it attacks itself.
+extension, or none if it attacks itself.  An order without a cut has one
+part, so :func:`count` returns None.
 
 Listing joins consecutive parts into at most :data:`MAX_GROUPS` groups of
 about equal size, since each search has a fixed cost; a group is again a
-part.  It renders each extension of a group as text once: its names in index
-order, joined by commas, as the piece of the output line that its group
-contributes.  Since the groups are consecutive ranges of indices, a line is
-its groups' pieces joined in nesting order.  A piece is never empty, since
-every argument of a nonempty framework is in a stable extension or attacked
-by it, so the commas that join the pieces never give ``",,"`` or ``"[,"``.
-Listing stores the pieces of every group but the first, whose search
-streams; once the stored pieces would hold more than :data:`MAX_STORED`
-characters in all, it searches the whole framework instead, before anything
-is reported.  Before a later group is searched, the first group is searched
-up to its first extension, and a later group is searched only once every
-group before it has shown an extension.  The first group's search is then
-suspended, and resumed at that extension for the product once every later
-group is stored: it is not repeated.  The single search, too, searches
-the first group up to its first extension and then each later group in
-full, as long as every group before it has an extension: in the subtree
-that follows the first labelling of the groups before it.  So what the
-split searches before its first line, or before it gives up, is at most
-what the single search searches in all.
+part, and with a single group :func:`write` returns None.  It renders each
+extension of a group as text once: its names in index order, joined by
+commas, as the piece of the output line that its group contributes.  Since
+the groups are consecutive ranges of indices, a line is its groups' pieces
+joined in nesting order.  A piece is never empty, since every argument of a
+nonempty framework is in a stable extension or attacked by it, so the commas
+that join the pieces never give ``",,"`` or ``"[,"``.  Listing stores the
+pieces of every group but the first, whose search streams; once the stored
+pieces would hold more than :data:`MAX_STORED` characters in all,
+:func:`write` returns None, having written nothing, and the caller searches
+the whole framework instead.  Before a later group is searched, the first
+group is searched up to its first extension, and a later group is searched
+only once every group before it has shown an extension.  The first group's
+search is then suspended, and resumed at that extension for the product once
+every later group is stored: it is not repeated.  The single search, too,
+searches the first group up to its first extension and then each later group
+in full, as long as every group before it has an extension: in the subtree
+that follows the first labelling of the groups before it.  So what the split
+searches before its first line, or before it gives up, is at most what the
+single search searches in all.
 
 Once every group is stored, the trailing lists are folded into one list of
 line tails, each the pieces of one extension of those groups, for as long
@@ -65,12 +69,11 @@ block's lines, in order.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from itertools import chain
+from itertools import chain, product
 from math import prod
 from types import ModuleType
 
 from .framework import Framework
-from .strategies import BranchOrder, Sink, deliver, search_order
 
 MAX_GROUPS = 32
 # characters, summed over the stored pieces
@@ -134,23 +137,6 @@ def restrict(f: Framework, start: int, end: int) -> Framework:
     )
 
 
-def _given(order: Sequence[int]) -> BranchOrder:
-    """The branching order that is ``order`` whatever the framework."""
-    return lambda g: order
-
-
-def _nest(prefix: str, lists: list[list], j: int, lines: Callable[[str], object]) -> None:
-    """For each prefix formed from ``prefix`` and one piece of each of
-    ``lists[j:-1]``, the last list varying fastest, pass ``lines`` the lines
-    of each block of ``lists[-1]``."""
-    if j + 1 == len(lists):
-        for block in lists[j]:
-            lines(prefix + prefix.join(block))
-    else:
-        for tail in lists[j]:
-            _nest(prefix + tail, lists, j + 1, lines)
-
-
 def _blocks(lists: list[list[str]]) -> list[list]:
     """``lists`` with its trailing lists folded into one list of tails, the
     last varying fastest, while their text stays within :data:`BLOCK`
@@ -181,60 +167,47 @@ def _blocks(lists: list[list[str]]) -> list[list]:
 
 
 def _text(g: Framework, head: str, tail: str) -> Callable[[tuple[int, ...]], str]:
-    """Render an extension of ``g`` as ``head``, its names in index order
-    joined by commas, and ``tail``."""
+    """Render an extension of ``g``, its arguments ascending, as ``head``,
+    its names joined by commas, and ``tail``."""
     names = g.names
-    return lambda ext: head + ",".join([names[x] for x in sorted(ext)]) + tail
+    return lambda ext: head + ",".join([names[x] for x in ext]) + tail
 
 
-def _count(engine: ModuleType, f: Framework, order: Sequence[int], cut: list[int]) -> int:
-    """The number of stable extensions of ``f``: the product of the counts of
-    the parts between the cuts ``cut``, each searched on its own, with every
-    run of consecutive one-argument parts searched as one part."""
+def count(engine: ModuleType, f: Framework, order: Sequence[int]) -> int | None:
+    """The number of stable extensions of ``f``: the product of the counts
+    of its parts under the permutation ``order``, each searched on its own by
+    ``engine``; None where the order has no cut."""
+    cut = cuts(f, order)
+    if not cut:
+        return None
     edges = [0, *cut, f.n]
     # a cut between two one-argument parts is dropped
     bounds = [0, *[c for a, c, b in zip(edges, cut, edges[2:]) if b - a > 2], f.n]
-    count = 1
+    total = 1
     for start, end in zip(bounds, bounds[1:]):
-        part = _given([x - start for x in order[start:end]])
-        count *= engine.enumerate_extensions(restrict(f, start, end), part, None)
-        if not count:
+        part = [x - start for x in order[start:end]]
+        total *= sum(1 for _ in engine.extensions(restrict(f, start, end), part))
+        if not total:
             break
-    return count
+    return total
 
 
-def enumerate_extensions(
-    engine: ModuleType,
-    f: Framework,
-    pick: BranchOrder,
-    sink: Sink | None,
-    lines: Callable[[str], object] | None = None,
-) -> int:
-    """Report every stable extension of ``f`` once, in the order in which
-    ``engine.enumerate_extensions(f, pick, sink)`` reports them, with the
-    same count; ``engine`` is :mod:`~stabenum.set_enum` or
-    :mod:`~stabenum.label_enum`.  Calls ``pick`` once.
-
-    Without ``sink`` it only counts, searching each part between two cuts
-    on its own (see :func:`_count`).  With ``sink``, ``lines`` is required:
-    where the order has no cut, or the stored pieces would exceed the cap,
-    the single search reports each extension to ``sink``; otherwise
-    ``lines`` receives their output lines, ``[name,...]`` in index order and
-    a newline, a block of whole lines per call.  ``sink`` must write the
-    same line.
-    """
-    order = search_order(f, pick)
-    cut = cuts(f, order)
-    if sink is None and cut:
-        return _count(engine, f, order, cut)
-    spans = groups(f.n, cut)
+def write(
+    engine: ModuleType, f: Framework, order: Sequence[int], lines: Callable[[str], object]
+) -> int | None:
+    """Pass ``lines`` the output line of every stable extension of ``f``,
+    ``[name,...]`` and a newline, a block of whole lines per call, in the
+    order in which ``engine`` finds them under the permutation ``order``;
+    returns how many lines there were.  Returns None where the order has
+    fewer than two groups or the stored pieces would pass :data:`MAX_STORED`,
+    having written nothing: every write comes after all later groups are
+    stored."""
+    spans = groups(f.n, cuts(f, order))
     if len(spans) == 1:
-        return engine.enumerate_extensions(f, _given(order), sink)
+        return None
     # a group is a range of indices, searched in its stretch of the order
-    parts = [
-        (restrict(f, start, end), [x - start for x in order[start:end]])
-        for start, end in spans
-    ]
+    parts = [(restrict(f, start, end), [x - start for x in order[start:end]])
+             for start, end in spans]
 
     first = engine.extensions(*parts[0])
     head = next(first, None)
@@ -249,16 +222,21 @@ def enumerate_extensions(
             text = piece(ext)
             room -= len(text)
             if room < 0:
-                return engine.enumerate_extensions(f, _given(order), sink)
+                return None
             found.append(text)
         if not found:
             return 0
         stored.append(found)
 
-    blocks = _blocks(stored)
+    *outer, blocks = _blocks(stored)
     opening = _text(parts[0][0], "[", "")
+    heads = 0
+    for heads, ext in enumerate(chain((head,), first), 1):
+        start = opening(ext)
+        for pieces in product(*outer):
+            prefix = start + "".join(pieces)
+            for block in blocks:
+                lines(prefix + prefix.join(block))
+    return heads * prod(map(len, stored))
 
-    def expand(ext: tuple[int, ...]) -> None:
-        _nest(opening(ext), blocks, 0, lines)
 
-    return deliver(chain((head,), first), expand, None) * prod(map(len, stored))

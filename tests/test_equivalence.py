@@ -78,13 +78,15 @@ def test_search_counters_pinned(f, order, set_counters, label_counters):
 def _branch_parity(f, order):
     """Run both engines with ``order``; returns (set, label) (extensions, branches).
 
-    Each engine's generator yields the sequence that its sink receives."""
+    Each engine's generator yields the sequence that its sink receives, each
+    extension's arguments strictly ascending."""
     runs = []
     for engine in (set_enum, label_enum):
         stats = SearchStats()
         found: list = []
         engine.enumerate_extensions(f, STRATEGIES[order], found.append, probe=stats)
         assert list(engine.extensions(f, search_order(f, STRATEGIES[order]))) == found
+        assert all(all(x < y for x, y in zip(ext, ext[1:])) for ext in found)
         runs.append((sorted(found), stats.branches))
     return runs
 

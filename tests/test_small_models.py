@@ -10,7 +10,7 @@ their dead ends in the same order.  Forcing sequences are not compared: the
 engines force in different orders by design.  Searching each independent part
 of the order apart (:mod:`stabenum.split`) must write the single search's
 lines in the same sequence, also with a cap of 0 stored characters, which
-makes every split with more than one group fall back to the single search
+makes every split with more than one group give up, having written nothing,
 while its first group's search is suspended.
 
 Run as a script to sweep every framework on ``n`` arguments, or every
@@ -103,16 +103,17 @@ def sweep(n: int, stride: int = 1) -> list[str]:
                     product: list = []
                     stored, split.MAX_STORED = split.MAX_STORED, cap
                     try:
-                        split.enumerate_extensions(
-                            engine, f, STRATEGIES[order],
-                            lambda ext: product.append(format_extension(ext, f.names) + "\n"),
-                            product.append,
-                        )
+                        count = split.write(engine, f, STRATEGIES[order](f), product.append)
                     finally:
                         split.MAX_STORED = stored
-                    if "".join(product) != "".join(lines):
-                        failures.append(f"{name} {tag}: split with cap {cap} wrote {product}, "
-                                        f"single search {lines}")
+                    if count is None and product:
+                        failures.append(f"{name} {tag}: split with cap {cap} gave up after "
+                                        f"writing {product}")
+                    elif count is not None and (count, "".join(product)) != (
+                        len(lines), "".join(lines)
+                    ):
+                        failures.append(f"{name} {tag}: split with cap {cap} wrote {count} "
+                                        f"lines {product}, single search {lines}")
                 events.append(witness.events)
             if len(events) == 2 and events[0] != events[1]:
                 failures.append(f"{tag}: branch and dead-end events differ")

@@ -16,7 +16,7 @@ from stabenum.formats import format_extension, write_apx
 from stabenum.framework import Framework, build
 from stabenum.generators import GenSpec, random_af
 from stabenum.oracle import is_stable
-from stabenum.strategies import STRATEGIES, max_out_order
+from stabenum.strategies import STRATEGIES, max_out_order, search_order
 
 from conftest import h1_framework, pairs_framework
 from test_small_models import small_frameworks
@@ -218,13 +218,10 @@ def test_cli_lines_equal_the_single_search_on_unequal_names(tmp_path, capsys):
 def test_verify_runs_the_single_search(monkeypatch, tmp_path, capsys, task):
     # --verify checks each whole extension as the single search finds it
     calls = []
-    search = split.enumerate_extensions
-
-    def spy(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(split, "enumerate_extensions", spy)
+    for name in ("write", "count"):
+        search = getattr(split, name)
+        monkeypatch.setattr(split, name,
+                            lambda *args, search=search: calls.append(args) or search(*args))
     path = tmp_path / "pairs.apx"
     path.write_text(write_apx(pairs_framework(8)))
     out = _stdout(capsys, [str(path), "--task", task, "--verify"])
@@ -328,7 +325,7 @@ def test_each_write_is_one_line_or_a_bounded_block(monkeypatch, tmp_path, bound)
         assert multiline > 30
 
 
-def test_34_pairs_are_written_in_512_blocks(tmp_path, monkeypatch):
+def test_17_pairs_are_written_in_512_blocks(tmp_path, monkeypatch):
     # 131,072 lines: the last 8 pairs' 256 tails (about 8,000 characters)
     # fold into one block within the default BLOCK, and the first 9 pairs
     # form the 512 prefixes that each write it once
@@ -350,11 +347,23 @@ def _rendered(f: Framework) -> tuple[list[str], Callable[[tuple[int, ...]], None
 
 
 def _split_text(engine, f: Framework, pick) -> tuple[int, str]:
-    """The count and output text of the split search: the lines that it
-    forms, and those of a single search that it runs."""
+    """The count and output text of a run that lists with the split and,
+    where it returns None, with the single search, as the CLI does."""
+    order = search_order(f, pick)
     out, sink = _rendered(f)
-    count = split.enumerate_extensions(engine, f, pick, sink, out.append)
+    count = split.write(engine, f, order, out.append)
+    if count is None:
+        assert out == []
+        count = engine.enumerate_extensions(f, lambda g: order, sink)
     return count, "".join(out)
+
+
+def _split_count(engine, f: Framework, pick) -> int:
+    """The count of a run that counts with the split and, where it returns
+    None, with the single search, as the CLI does."""
+    order = search_order(f, pick)
+    count = split.count(engine, f, order)
+    return engine.enumerate_extensions(f, lambda g: order) if count is None else count
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 8])
@@ -369,7 +378,7 @@ def test_stored_extensions_over_the_cap_fall_back(monkeypatch, engine, cap):
             single, sink = _rendered(f)
             count = engine.enumerate_extensions(f, pick, sink)
             assert _split_text(engine, f, pick) == (count, "".join(single))
-            assert split.enumerate_extensions(engine, f, pick, None) == count
+            assert _split_count(engine, f, pick) == count
 
 
 def chains_and_pairs(*pieces: tuple[str, int]) -> Framework:
@@ -462,15 +471,12 @@ def test_long_names_fall_back(monkeypatch, engine):
               + [(x, names[22]) for x in names[2:22:2]])
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 23)]
     calls = _spy(monkeypatch, engine)
-    count = 0
-
-    def sink(ext):
-        nonlocal count
-        count += 1
-
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], sink, pytest.fail) == 2048
-    assert count == 2048
-    assert f in [c.g for c in calls]
+    assert split.write(engine, f, range(f.n), pytest.fail) is None
+    # the first group stops at its first extension, and the second is
+    # searched until its pieces pass the cap
+    assert [c.g.n for c in calls] == [2, 21]
+    assert calls[0].advances == 1
+    assert engine.enumerate_extensions(f) == 2048
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
@@ -555,9 +561,7 @@ def test_count_equals_the_single_search(engine):
     for _ in range(150):
         f = pieces_framework(rng)
         for order in STRATEGIES.values():
-            assert split.enumerate_extensions(engine, f, order, None) == (
-                engine.enumerate_extensions(f, order, None)
-            ), f
+            assert _split_count(engine, f, order) == engine.enumerate_extensions(f, order), f
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
@@ -567,14 +571,14 @@ def test_count_searches_each_part_and_each_run_of_single_arguments_once(monkeypa
     f = build([f"a{i}" for i in range(10)],
               [("a2", "a3"), ("a3", "a2"), ("a4", "a5"), ("a5", "a6")])
     calls = _spy(monkeypatch, engine)
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 2
+    assert split.count(engine, f, range(f.n)) == 2
     assert [c.g.names for c in calls] == [
         ("a0", "a1"), ("a2", "a3"), ("a4", "a5", "a6"), ("a7", "a8", "a9")
     ]
     # a self-attacker among them has no extension, and neither has f
     f = build(f.names, [*((f.names[x], f.names[y]) for x, y in f.attacks), ("a8", "a8")])
     calls.clear()
-    assert split.enumerate_extensions(engine, f, STRATEGIES["lex"], None) == 0
+    assert split.count(engine, f, range(f.n)) == 0
     assert calls[-1].g.self_loop == (False, True, False)
 
 
@@ -588,18 +592,43 @@ def test_cuts_too_early_for_a_second_group_run_the_single_search(monkeypatch):
     assert [c.g for c in calls] == [f]
 
 
-def test_order_is_picked_once(monkeypatch):
+@pytest.mark.parametrize("engine", [set_enum, label_enum], ids=["set", "label"])
+def test_write_returns_none_before_writing_anything(monkeypatch, engine):
+    # h1 is one group, and a pair followed by a chain of 98 has its one cut
+    # before the first group could end
+    assert split.write(engine, h1_framework(), range(6), pytest.fail) is None
+    f = chains_and_pairs(("pairs", 1), ("chain", 98))
+    assert split.write(engine, f, range(f.n), pytest.fail) is None
+    # counting needs a cut, not two groups
+    assert split.count(engine, f, range(f.n)) == 2
+    assert split.count(engine, h1_framework(), range(6)) is None
+    # over the cap, found at group 2's first piece: group 1's search was
+    # advanced only to its first extension
+    monkeypatch.setattr(split, "MAX_STORED", 0)
+    calls = _spy(monkeypatch, engine)
+    f = pairs_framework(12)
+    assert split.write(engine, f, range(f.n), pytest.fail) is None
+    assert [(c.g.names, c.advances) for c in calls] == [(("a0", "a1"), 1), (("a2", "a3"), 1)]
+
+
+def test_order_is_picked_once(monkeypatch, tmp_path, capsys):
     calls = []
+    lex = STRATEGIES["lex"]
 
     def pick(f):
         calls.append(f)
-        return range(f.n)
+        return lex(f)
 
-    f = pairs_framework(8)
-    assert split.enumerate_extensions(label_enum, f, pick, [].append, [].append) == 16
-    assert calls == [f]
-    # over the cap the single search reuses the order
+    monkeypatch.setitem(STRATEGIES, "lex", pick)
+    path = tmp_path / "pairs.apx"
+    path.write_text(write_apx(pairs_framework(16)))
+    for options in ([], ["--task", "CE-ST"], ["--task", "SE-ST"], ["--check-invariants"],
+                    ["--verify"]):
+        calls.clear()
+        _stdout(capsys, [str(path), *options])
+        assert len(calls) == 1, options
+    # over the cap the single search reuses the order that the split used
     monkeypatch.setattr(split, "MAX_STORED", 0)
     calls.clear()
-    assert split.enumerate_extensions(label_enum, f, pick, [].append, [].append) == 16
-    assert calls == [f]
+    assert _stdout(capsys, [str(path)]).count("\n") == 256
+    assert len(calls) == 1
