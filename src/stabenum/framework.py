@@ -74,26 +74,35 @@ class Framework(Frozen):
     Argument indices are dense, contiguous and follow declaration order;
     ``names`` maps them back to their external labels.  ``succ[x]`` holds
     the targets of ``x`` and ``pred[x]`` its attackers, both sorted and
-    duplicate-free.  Instances never change after :func:`build` and are
+    duplicate-free.  Instances never change after construction and are
     safe to share read-only between concurrent searches (see
     :class:`Frozen`).  Two frameworks are equal, and hash alike, when their
     ``names`` and ``attacks`` are; the other fields are derived from those
     two.
     """
 
-    __slots__ = ("names", "attacks", "succ", "pred", "self_loop", "index_of")
+    __slots__ = ("names", "attacks", "succ", "pred", "self_loop")
     _value_fields = ("names", "attacks")
 
-    def __init__(
-        self,
-        names: tuple[str, ...],
-        attacks: tuple[tuple[int, int], ...],
-        succ: tuple[tuple[int, ...], ...],
-        pred: tuple[tuple[int, ...], ...],
-        self_loop: tuple[bool, ...],
-        index_of: dict[str, int],
-    ) -> None:
-        self._fill(names, attacks, succ, pred, self_loop, index_of)
+    def __init__(self, names: tuple[str, ...], attacks: Iterable[tuple[int, int]]) -> None:
+        """Each attack is a pair of indices in ``range(len(names))``; a
+        repeated attack is dropped, the first of its occurrences kept."""
+        pairs = tuple(dict.fromkeys(attacks))
+        n = len(names)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        self_loop = [False] * n
+        for x, y in pairs:
+            succ[x].append(y)
+            pred[y].append(x)
+            if x == y:
+                self_loop[x] = True
+        for targets in succ:
+            targets.sort()
+        for attackers in pred:
+            attackers.sort()
+        self._fill(names, pairs, tuple(map(tuple, succ)), tuple(map(tuple, pred)),
+                   tuple(self_loop))
 
     @property
     def n(self) -> int:
@@ -107,10 +116,10 @@ def build(
 ) -> Framework:
     """Assemble a :class:`Framework` from declared names and name pairs.
 
-    Repeated declarations and repeated attacks are dropped; ``warn(i,
-    message)`` is told about each repeated name, ``i`` being its position in
-    ``names``.  The first attack with an endpoint missing from ``names``
-    raises :class:`UnknownArgument`.
+    Repeated declarations are dropped, and :class:`Framework` drops repeated
+    attacks; ``warn(i, message)`` is told about each repeated name, ``i``
+    being its position in ``names``.  The first attack with an endpoint
+    missing from ``names`` raises :class:`UnknownArgument`.
     """
     names = list(names)
     ordered = tuple(dict.fromkeys(names))
@@ -133,29 +142,7 @@ def build(
         raise UnknownArgument(
             f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
         ) from None
-    pairs = tuple(dict.fromkeys(resolved))
-
-    n = len(ordered)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    self_loop = [False] * n
-    for x, y in pairs:
-        succ[x].append(y)
-        pred[y].append(x)
-        if x == y:
-            self_loop[x] = True
-    for targets in succ:
-        targets.sort()
-    for attackers in pred:
-        attackers.sort()
-    return Framework(
-        names=ordered,
-        attacks=pairs,
-        succ=tuple(map(tuple, succ)),
-        pred=tuple(map(tuple, pred)),
-        self_loop=tuple(self_loop),
-        index_of=index,
-    )
+    return Framework(ordered, resolved)
 
 
 def attacked_by(f: Framework, args: Iterable[int]) -> frozenset[int]:

@@ -122,19 +122,19 @@ def groups(n: int, cut: list[int]) -> list[tuple[int, int]]:
 
 def restrict(f: Framework, start: int, end: int) -> Framework:
     """The framework on the arguments ``start .. end-1`` of ``f``, each
-    numbered ``start`` less; none of them may attack, or be attacked by, an
-    argument outside that range."""
-    succ = tuple([tuple([t - start for t in ts]) if ts else () for ts in f.succ[start:end]])
-    pred = tuple([tuple([y - start for y in ys]) if ys else () for ys in f.pred[start:end]])
-    names = f.names[start:end]
+    numbered ``start`` less, with the attacks among them by attacker, then
+    target; none of them may attack, or be attacked by, an argument outside
+    that range."""
     return Framework(
-        names=names,
-        attacks=tuple([(x, t) for x, targets in enumerate(succ) for t in targets]),
-        succ=succ,
-        pred=pred,
-        self_loop=f.self_loop[start:end],
-        index_of=dict(zip(names, range(len(names)))),
+        f.names[start:end],
+        tuple([(x - start, t - start) for x in range(start, end) for t in f.succ[x]]),
     )
+
+
+def _part(f: Framework, order: Sequence[int], start: int, end: int) -> tuple[Framework, list[int]]:
+    """The part ``start .. end-1`` of ``f`` and its stretch of ``order``,
+    numbered as in the part."""
+    return restrict(f, start, end), [x - start for x in order[start:end]]
 
 
 def _blocks(lists: list[list[str]]) -> list[list]:
@@ -185,8 +185,7 @@ def count(engine: ModuleType, f: Framework, order: Sequence[int]) -> int | None:
     bounds = [0, *[c for a, c, b in zip(edges, cut, edges[2:]) if b - a > 2], f.n]
     total = 1
     for start, end in zip(bounds, bounds[1:]):
-        part = [x - start for x in order[start:end]]
-        total *= sum(1 for _ in engine.extensions(restrict(f, start, end), part))
+        total *= sum(1 for _ in engine.extensions(*_part(f, order, start, end)))
         if not total:
             break
     return total
@@ -206,8 +205,7 @@ def write(
     if len(spans) == 1:
         return None
     # a group is a range of indices, searched in its stretch of the order
-    parts = [(restrict(f, start, end), [x - start for x in order[start:end]])
-             for start, end in spans]
+    parts = [_part(f, order, start, end) for start, end in spans]
 
     first = engine.extensions(*parts[0])
     head = next(first, None)
@@ -238,5 +236,3 @@ def write(
             for block in blocks:
                 lines(prefix + prefix.join(block))
     return heads * prod(map(len, stored))
-
-

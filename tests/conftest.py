@@ -46,7 +46,7 @@ def pairs_framework(n: int) -> Framework:
 
 def ids(f: Framework, names: str) -> frozenset[int]:
     """Translate a string of single-letter names into an index set."""
-    return frozenset(f.index_of[name] for name in names)
+    return frozenset(f.names.index(name) for name in names)
 
 
 def mu_table(state, f: Framework) -> dict[str, str]:

@@ -1,6 +1,11 @@
 """The line-by-line apx lexer and the item-by-item ``build`` that
 ``stabenum.formats.parse_apx`` and ``stabenum.framework.build`` replaced,
-kept verbatim as the references their tests compare against."""
+kept as the references their tests compare against.
+
+``build`` returns a :class:`Framework`, which derives its own adjacency, so
+:func:`adjacency` keeps the item-by-item derivation of ``succ``, ``pred``
+and ``self_loop`` apart from the constructor: the tests compare the fields
+of the framework under test with it."""
 
 from __future__ import annotations
 
@@ -47,19 +52,21 @@ def build(
         seen.add(pair)
         pairs.append(pair)
 
-    n = len(ordered)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for x, y in pairs:
+    return Framework(tuple(ordered), tuple(pairs))
+
+
+def adjacency(f: Framework) -> tuple:
+    """``(succ, pred, self_loop)`` of ``f``, derived from its ``names`` and
+    ``attacks`` one attack at a time."""
+    succ: list[list[int]] = [[] for _ in range(f.n)]
+    pred: list[list[int]] = [[] for _ in range(f.n)]
+    for x, y in f.attacks:
         succ[x].append(y)
         pred[y].append(x)
-    return Framework(
-        names=tuple(ordered),
-        attacks=tuple(pairs),
-        succ=tuple(tuple(sorted(t)) for t in succ),
-        pred=tuple(tuple(sorted(t)) for t in pred),
-        self_loop=tuple((x, x) in seen for x in range(n)),
-        index_of=index,
+    return (
+        tuple(tuple(sorted(t)) for t in succ),
+        tuple(tuple(sorted(t)) for t in pred),
+        tuple((x, x) in f.attacks for x in range(f.n)),
     )
 
 

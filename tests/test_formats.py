@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import io
 import tracemalloc
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -240,21 +241,27 @@ def apx_texts(draw):
     return "".join(pieces)
 
 
-def _outcome(parse, text):
-    """What parsing ``text`` gives: the framework in full and the
-    diagnostics, or the exception's type, message, line and index."""
+def _outcome(parse, text, adjacency=attrgetter("succ", "pred", "self_loop")):
+    """What parsing ``text`` gives: the framework, ``adjacency`` of it and
+    the diagnostics, or the exception's type, message, line and index."""
     diagnostics = []
     try:
         f = parse(text, diagnostics)
     except (ParseError, UnknownArgument) as exc:
         return type(exc), exc.message, exc.line, getattr(exc, "index", None)
-    return f, f.succ, f.pred, f.self_loop, f.index_of, diagnostics
+    return f, adjacency(f), diagnostics
+
+
+def _reference_outcome(text):
+    """:func:`_outcome` of the reference parser, its framework's adjacency
+    derived item by item."""
+    return _outcome(reference_apx.parse_apx, text, reference_apx.adjacency)
 
 
 @settings(max_examples=400)
 @given(apx_texts())
 def test_parse_apx_matches_the_line_by_line_reference(text):
-    assert _outcome(parse_apx, text) == _outcome(reference_apx.parse_apx, text)
+    assert _outcome(parse_apx, text) == _reference_outcome(text)
 
 
 @pytest.mark.parametrize(
@@ -269,7 +276,7 @@ def test_parse_apx_matches_the_line_by_line_reference(text):
     ],
 )
 def test_parse_apx_matches_the_reference_on_line_breaks(text):
-    assert _outcome(parse_apx, text) == _outcome(reference_apx.parse_apx, text)
+    assert _outcome(parse_apx, text) == _reference_outcome(text)
 
 
 def test_parse_apx_malformed_fact_is_quoted_without_its_comment():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from operator import attrgetter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,16 +100,17 @@ def test_initial_partition_partitions_arguments(f):
 
 # ---------------------------------------------------------------- build's bulk path
 # build must give what the item-by-item build it replaced
-# (tests/reference_apx.py) gives: framework, warnings and error.
+# (tests/reference_apx.py) gives: framework, warnings and error, with the
+# adjacency that the reference derives item by item.
 
 
-def _build_outcome(build_fn, names, attacks):
+def _build_outcome(build_fn, names, attacks, adjacency=attrgetter("succ", "pred", "self_loop")):
     warnings: list[tuple[int, str]] = []
     try:
         f = build_fn(names, attacks, lambda i, message: warnings.append((i, message)))
     except UnknownArgument as exc:
         return exc.message, exc.index, warnings
-    return f, f.succ, f.pred, f.self_loop, f.index_of, warnings
+    return f, adjacency(f), warnings
 
 
 @given(
@@ -116,7 +119,7 @@ def _build_outcome(build_fn, names, attacks):
 )
 def test_build_matches_the_item_by_item_reference(names, attacks):
     assert _build_outcome(build, names, attacks) == _build_outcome(
-        reference_apx.build, names, attacks
+        reference_apx.build, names, attacks, reference_apx.adjacency
     )
 
 
@@ -168,14 +171,33 @@ def test_framework_is_a_value_of_its_names_and_attacks(h1):
     assert twin == h1 and hash(twin) == hash(h1)
     assert twin != build(H1_NAMES, H1_ATTACKS[1:])
     assert build(["a", "b"], []) != build(["b", "a"], [])
-    # the adjacency is derived from names and attacks, so it takes no part
-    bare = Framework(names=h1.names, attacks=h1.attacks, succ=(), pred=(), self_loop=(), index_of={})
-    assert bare == h1 and hash(bare) == hash(h1)
+    # the adjacency is derived from names and attacks
+    again = Framework(h1.names, h1.attacks)
+    assert again == h1
+    assert (again.succ, again.pred, again.self_loop) == (h1.succ, h1.pred, h1.self_loop)
     assert h1 != (h1.names, h1.attacks)
     with pytest.raises(AttributeError):
         h1.names = ()
     with pytest.raises(AttributeError):
         h1.succ = ()
+
+
+def test_framework_derives_its_adjacency_and_drops_repeated_attacks():
+    f = Framework(("a", "b"), ((1, 0), (0, 1), (1, 0), (1, 1)))
+    assert f.attacks == ((1, 0), (0, 1), (1, 1))
+    assert f.succ == ((1,), (0, 1))
+    assert f.pred == ((1,), (0, 1))
+    assert f.self_loop == (False, True)
+
+
+@given(frameworks())
+def test_framework_of_a_frameworks_names_and_attacks_is_that_framework(f):
+    g = Framework(f.names, f.attacks)
+    assert (g.names, g.attacks, g.succ, g.pred, g.self_loop) == (
+        f.names, f.attacks, f.succ, f.pred, f.self_loop
+    )
+    # sorted and duplicate-free, as cuts and the engines assume
+    assert (g.succ, g.pred, g.self_loop) == reference_apx.adjacency(f)
 
 
 def test_framework_repr_shows_its_names_and_attacks():

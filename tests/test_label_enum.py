@@ -100,20 +100,20 @@ def test_initial_state_attack_free():
 
 def test_assign_in_first_branch(h1):
     state = initial_state(h1)
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     assert tables(state, h1) == T2
-    assert assign_in(state, h1, h1.index_of["a"])
+    assert assign_in(state, h1, h1.names.index("a"))
     assert tables(state, h1) == T3
 
 
 def test_assign_in_dead_end(h1):
     # reach the last golden state, where the remaining branch collapses
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.index_of["a"])
-    assert mark_must_out(state, h1, h1.index_of["b"])
+    assert mark_must_out(state, h1, h1.names.index("a"))
+    assert mark_must_out(state, h1, h1.names.index("b"))
     assert tables(state, h1) == T9
-    state.gamma.discard(h1.index_of["d"])
-    assert not assign_in(state, h1, h1.index_of["d"])
+    state.gamma.discard(h1.names.index("d"))
+    assert not assign_in(state, h1, h1.names.index("d"))
     assert tables(state, h1) == T10
 
 
@@ -127,7 +127,7 @@ def test_assign_in_isolated_argument():
 
 def test_drain_to_first_solution(h1):
     state = initial_state(h1)
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     assert drain(state, h1)
     assert tables(state, h1) == T4
     assert is_solution(state)
@@ -142,9 +142,9 @@ def test_drain_empty_worklist_is_fixpoint(h1):
 
 def test_drain_second_solution(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.index_of["a"])
+    assert mark_must_out(state, h1, h1.names.index("a"))
     assert tables(state, h1) == T5
-    state.gamma_add(h1.index_of["b"])
+    state.gamma_add(h1.names.index("b"))
     assert tables(state, h1) == T6
     assert drain(state, h1)
     assert tables(state, h1) == T8
@@ -154,7 +154,7 @@ def test_drain_second_solution(h1):
 
 def test_drain_intermediate_round(h1):
     state = initial_state(h1)
-    state.gamma_add(h1.index_of["b"])
+    state.gamma_add(h1.names.index("b"))
     rounds = []
 
     class Rounds(Probe):
@@ -168,33 +168,33 @@ def test_drain_intermediate_round(h1):
 
 def test_is_solution_examples(h1):
     first = initial_state(h1)
-    first.gamma_add(h1.index_of["a"])
+    first.gamma_add(h1.names.index("a"))
     drain(first, h1)
     assert is_solution(first)
     assert first.members(IN) == tuple(sorted(ids(h1, "acd")))
 
     second = initial_state(h1)
-    mark_must_out(second, h1, h1.index_of["a"])
-    second.gamma_add(h1.index_of["b"])
+    mark_must_out(second, h1, h1.names.index("a"))
+    second.gamma_add(h1.names.index("b"))
     drain(second, h1)
     assert is_solution(second)
     assert second.members(IN) == tuple(sorted(ids(h1, "be")))
 
     third = initial_state(h1)
-    mark_must_out(third, h1, h1.index_of["a"])
+    mark_must_out(third, h1, h1.names.index("a"))
     assert not is_solution(third)  # blanks remain
 
 
 def test_mark_must_out_first_backtrack(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.index_of["a"])
+    assert mark_must_out(state, h1, h1.names.index("a"))
     assert tables(state, h1) == T5
 
 
 def test_mark_must_out_triggers_force(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.index_of["a"])
-    assert mark_must_out(state, h1, h1.index_of["b"])
+    assert mark_must_out(state, h1, h1.names.index("a"))
+    assert mark_must_out(state, h1, h1.names.index("b"))
     assert tables(state, h1) == T9
 
 
@@ -212,7 +212,7 @@ def test_checkpoint_rollback_restores_branch_state(h1):
     state = initial_state(h1)
     snapshot = tables(state, h1)
     state.checkpoint()
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     drain(state, h1)
     assert tables(state, h1) == T4
     state.rollback()
@@ -229,10 +229,10 @@ def test_checkpoint_rollback_noop(h1):
 
 def test_checkpoint_rollback_second_branch(h1):
     state = initial_state(h1)
-    mark_must_out(state, h1, h1.index_of["a"])
+    mark_must_out(state, h1, h1.names.index("a"))
     assert tables(state, h1) == T5
     state.checkpoint()
-    state.gamma_add(h1.index_of["b"])
+    state.gamma_add(h1.names.index("b"))
     drain(state, h1)
     assert tables(state, h1) == T8
     state.rollback()
@@ -344,7 +344,7 @@ def test_stale_worklist_entry_is_dead_end():
 
 def test_counters_stay_non_negative(h1):
     state = initial_state(h1)
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     drain(state, h1)
     assert all(value >= 0 for value in state.pi)
 
@@ -432,7 +432,7 @@ def test_counters_follow_labels_at_every_event(order):
 def test_invariant_checker_accepts_boundary_states(h1):
     state = initial_state(h1)
     check_label_state(h1, state)
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     drain(state, h1)
     check_label_state(h1, state)
 
@@ -466,11 +466,11 @@ def test_invariant_checker_rejects_stale_counter(h1):
         check_label_state(h1, state)
     # the counter of an out argument, which traces show, is checked too
     state = initial_state(h1)
-    state.gamma_add(h1.index_of["a"])
+    state.gamma_add(h1.names.index("a"))
     drain(state, h1)
     check_label_state(h1, state)
-    assert state.mu[h1.index_of["b"]].json_name() == "out"
-    state.pi[h1.index_of["b"]] -= 1
+    assert state.mu[h1.names.index("b")].json_name() == "out"
+    state.pi[h1.names.index("b")] -= 1
     with pytest.raises(InvariantViolation, match="stale counter for b: 1 != 2"):
         check_label_state(h1, state)
 

@@ -53,8 +53,8 @@ def test_forced_in_via_tabu_attacker(h1):
 def test_sole_attacker_of_tabu_argument():
     f = build(["x", "y"], [("y", "y"), ("x", "y")])
     s = SetState(frozenset(), frozenset(), ids(f, "x"), ids(f, "y"))
-    assert sole_attacker(s, f) == f.index_of["x"]
-    assert [tuple(sorted(e)) for e in enumerate_bruteforce(f)] == [(f.index_of["x"],)]
+    assert sole_attacker(s, f) == f.names.index("x")
+    assert [tuple(sorted(e)) for e in enumerate_bruteforce(f)] == [(f.names.index("x"),)]
 
 
 def test_sole_attacker_without_tabu(h1):

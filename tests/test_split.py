@@ -106,6 +106,25 @@ def concatenation(rng: random.Random, loops: bool) -> Framework:
     return build(names, attacks)
 
 
+@pytest.mark.parametrize("loops", [False, True], ids=["no-loops", "loops"])
+def test_restrict_is_the_framework_of_a_range_between_cuts(loops):
+    rng = random.Random(40 + loops)
+    for _ in range(200):
+        f = concatenation(rng, loops)
+        edges = [0, *split.cuts(f, range(f.n)), f.n]
+        for i, start in enumerate(edges):
+            for end in edges[i + 1:]:
+                g = split.restrict(f, start, end)
+                # restrict lists the attacks by attacker, then target
+                inside = [(f.names[x], f.names[y]) for x, y in sorted(f.attacks)
+                          if start <= x < end and start <= y < end]
+                expected = build(f.names[start:end], inside)
+                assert g == expected
+                assert (g.succ, g.pred, g.self_loop) == (
+                    expected.succ, expected.pred, expected.self_loop
+                )
+
+
 def _stdout(capsys, argv) -> str:
     assert main(argv) == 0
     return capsys.readouterr().out
