@@ -78,7 +78,8 @@ class Framework(Frozen):
     safe to share read-only between concurrent searches (see
     :class:`Frozen`).  Two frameworks are equal, and hash alike, when their
     ``names`` and ``attacks`` are; the other fields are derived from those
-    two.
+    two.  ``attacks`` keeps declaration order, so the same attacks declared
+    in another order give unequal frameworks.
     """
 
     __slots__ = ("names", "attacks", "succ", "pred", "self_loop")

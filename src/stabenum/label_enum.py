@@ -48,7 +48,7 @@ from heapq import heappop, heappush
 from itertools import compress
 
 from .framework import Framework
-from .strategies import NO_PROBE, BranchOrder, Probe, Sink, deliver, lex_order, search_order
+from .strategies import NO_PROBE, Probe, Sink, deliver, search_order
 
 
 class Label(enum.IntEnum):
@@ -373,7 +373,7 @@ def extensions(
 
 def enumerate_extensions(
     f: Framework,
-    pick: BranchOrder = lex_order,
+    order: Sequence[int] | None = None,
     sink: Sink | None = None,
     *,
     probe: Probe = NO_PROBE,
@@ -381,6 +381,7 @@ def enumerate_extensions(
 ) -> int:
     """Report every stable extension exactly once; returns how many were found.
 
-    The search is :func:`extensions` in the order ``pick(f)``; ``limit``, at
-    least 1, stops it once that many extensions were delivered to ``sink``."""
-    return deliver(extensions(f, search_order(f, pick), probe), sink, limit)
+    The search is :func:`extensions` in the permutation ``order`` (``lex`` for
+    None), checked before it starts; ``limit``, at least 1, stops it once that
+    many extensions were delivered to ``sink``."""
+    return deliver(extensions(f, search_order(f, order), probe), sink, limit)

@@ -7,19 +7,15 @@ from itertools import islice
 
 from .framework import Framework
 
-# a static branching order: a permutation of the arguments, computed once per
-# search; the engines branch on its first argument that is still free
-BranchOrder = Callable[[Framework], Sequence[int]]
 # receives each extension reported, its arguments ascending
 Sink = Callable[[tuple[int, ...]], None]
 
 
-def search_order(f: Framework, pick: BranchOrder) -> Sequence[int]:
-    """The order ``pick(f)``; ``ValueError`` for an order that is not a
-    sequence or not a permutation."""
-    order = pick(f)
-    if type(order) is range and order == range(f.n):
-        return order
+def search_order(f: Framework, order: Sequence[int] | None) -> Sequence[int]:
+    """The branching order ``order``, ``range(f.n)`` for None; ``ValueError``
+    for an order that is not a sequence or not a permutation."""
+    if order is None or (type(order) is range and order == range(f.n)):
+        return range(f.n)
     if not isinstance(order, Sequence):
         # an iterator would be used up by the check below
         raise ValueError(f"branching order is not a permutation of range({f.n}) "
@@ -120,7 +116,7 @@ def max_in_order(f: Framework) -> Sequence[int]:
     return sorted(range(f.n), key=lambda x: (-len(f.pred[x]), x))
 
 
-STRATEGIES: dict[str, BranchOrder] = {
+STRATEGIES: dict[str, Callable[[Framework], Sequence[int]]] = {
     "lex": lex_order,
     "max-out": max_out_order,
     "max-in": max_in_order,

@@ -41,6 +41,27 @@ def test_all_engines_agree_on_fixture(engine, capsys):
         assert output == expected, task
 
 
+# b <-> a, c <-> d and d -> b: three extensions, listed in an order that each
+# branching order changes, so an --order lost on its way to the engine shows
+FOUR = "".join(f"{fact}.\n" for fact in (
+    "arg(a)", "arg(b)", "arg(c)", "arg(d)", "att(a,b)", "att(b,a)", "att(c,d)", "att(d,b)",
+    "att(d,c)"))
+
+
+@pytest.mark.parametrize("order, lines", [
+    ("lex", ["[a,c]", "[a,d]", "[b,c]"]),
+    ("max-out", ["[a,d]", "[a,c]", "[b,c]"]),
+    ("max-in", ["[b,c]", "[a,c]", "[a,d]"]),
+], ids=["lex", "max-out", "max-in"])
+@pytest.mark.parametrize("engine", ["set", "label"])
+def test_order_changes_the_listing(tmp_path, capsys, engine, order, lines):
+    path = tmp_path / "four.apx"
+    path.write_text(FOUR)
+    for task, expected in (("EE-ST", lines), ("SE-ST", lines[:1]), ("CE-ST", ["COUNT 3"])):
+        assert main([str(path), "--engine", engine, "--order", order, "--task", task]) == 0
+        assert capsys.readouterr().out == "".join(line + "\n" for line in expected), task
+
+
 def test_run_tgf_format(capsys):
     code = run(RunConfig(), H1_TGF, source="h1.tgf")
     output = capsys.readouterr().out
@@ -87,9 +108,9 @@ def test_count_task_passes_a_sink_only_to_verify(monkeypatch, capsys, verify):
     sinks = []
     search = cli.label_enum.enumerate_extensions
 
-    def spy(f, pick, sink, **kwargs):
+    def spy(f, order, sink, **kwargs):
         sinks.append(sink)
-        return search(f, pick, sink, **kwargs)
+        return search(f, order, sink, **kwargs)
 
     monkeypatch.setattr(cli.label_enum, "enumerate_extensions", spy)
     code = run(RunConfig(task="CE-ST", verify=verify), H1_APX, source="h1.apx")
@@ -184,12 +205,12 @@ def _before_each_delivery(monkeypatch, hook):
     """Call ``hook(ext)`` whenever the label engine hands ``ext`` to the CLI's sink."""
     search = cli.label_enum.enumerate_extensions
 
-    def spy(f, pick, sink, **kwargs):
+    def spy(f, order, sink, **kwargs):
         def deliver(ext):
             hook(ext)
             sink(ext)
 
-        return search(f, pick, deliver, **kwargs)
+        return search(f, order, deliver, **kwargs)
 
     monkeypatch.setattr(cli.label_enum, "enumerate_extensions", spy)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import sys
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given
@@ -71,7 +72,7 @@ def test_search_counters_pinned(f, order, set_counters, label_counters):
     assert label_counters[1] == set_counters[1]
     for engine, expected in ((set_enum, set_counters), (label_enum, label_counters)):
         stats = SearchStats()
-        count = engine.enumerate_extensions(f, STRATEGIES[order], probe=stats)
+        count = engine.enumerate_extensions(f, STRATEGIES[order](f), probe=stats)
         assert (count, stats.branches, stats.propagations) == expected
 
 
@@ -84,8 +85,8 @@ def _branch_parity(f, order):
     for engine in (set_enum, label_enum):
         stats = SearchStats()
         found: list = []
-        engine.enumerate_extensions(f, STRATEGIES[order], found.append, probe=stats)
-        assert list(engine.extensions(f, search_order(f, STRATEGIES[order]))) == found
+        engine.enumerate_extensions(f, STRATEGIES[order](f), found.append, probe=stats)
+        assert list(engine.extensions(f, STRATEGIES[order](f))) == found
         assert all(all(x < y for x, y in zip(ext, ext[1:])) for ext in found)
         runs.append((sorted(found), stats.branches))
     return runs
@@ -146,21 +147,35 @@ def test_limit_below_one_is_rejected(engine, limit):
 
 
 @pytest.mark.parametrize(
-    "pick",
+    "order",
     [
-        lambda f: [0, 1, 2],
-        lambda f: [0, 1, 2, 3, 3],
-        lambda f: [0, 1, 2, 4],
-        # one-shot iterables: the right arguments, but not a sequence
-        lambda f: iter(range(f.n)),
-        lambda f: (x for x in range(f.n)),
+        [0, 1, 2],
+        [0, 1, 2, 3, 3],
+        [0, 1, 2, 4],
+        # one-shot iterables: the right arguments, but not a sequence; the
+        # check raises before it draws from them
+        iter(range(4)),
+        (x for x in range(4)),
+        # an order function where its permutation belongs
+        STRATEGIES["lex"],
     ],
-    ids=["missing", "repeated", "out-of-range", "iterator", "generator"],
+    ids=["missing", "repeated", "out-of-range", "iterator", "generator", "function"],
 )
 @pytest.mark.parametrize("engine", [set_enum, label_enum])
-def test_order_that_is_not_a_permutation_is_rejected(engine, pick):
+def test_order_that_is_not_a_permutation_is_rejected(engine, order):
     f = pairs_framework(4)
     found: list = []
     with pytest.raises(ValueError, match="not a permutation"):
-        engine.enumerate_extensions(f, pick, found.append)
+        engine.enumerate_extensions(f, order, found.append)
     assert found == []
+
+
+@given(frameworks())
+def test_every_strategy_gives_a_permutation_in_a_sequence(f):
+    # the CLI hands these orders to the split, which does not check them
+    for pick in STRATEGIES.values():
+        order = pick(f)
+        assert isinstance(order, Sequence)
+        assert sorted(order) == list(range(f.n))
+    lex = STRATEGIES["lex"](f)
+    assert type(lex) is range and lex == range(f.n) == search_order(f, None)

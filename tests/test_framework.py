@@ -113,11 +113,26 @@ def _build_outcome(build_fn, names, attacks, adjacency=attrgetter("succ", "pred"
     return f, adjacency(f), warnings
 
 
-@given(
-    st.lists(st.sampled_from("abcde"), max_size=8),
-    st.lists(st.tuples(st.sampled_from("abcdef"), st.sampled_from("abcdef")), max_size=12),
-)
-def test_build_matches_the_item_by_item_reference(names, attacks):
+@st.composite
+def names_and_attacks(draw) -> tuple[list[str], list[tuple[str, str]]]:
+    """Names, with repeats, and attacks between them, so that most draws build
+    a framework; some draws also put an attack with the undeclared endpoint
+    ``f`` somewhere among them."""
+    names = draw(st.lists(st.sampled_from("abcde"), max_size=8))
+    attacks = []
+    if names:
+        endpoint = st.sampled_from(names)
+        attacks = draw(st.lists(st.tuples(endpoint, endpoint), max_size=12))
+    if draw(st.integers(0, 3)) == 3:
+        x = draw(st.sampled_from([*names, "f"]))
+        stray = draw(st.sampled_from([(x, "f"), ("f", x)]))
+        attacks.insert(draw(st.integers(0, len(attacks))), stray)
+    return names, attacks
+
+
+@given(names_and_attacks())
+def test_build_matches_the_item_by_item_reference(drawn):
+    names, attacks = drawn
     assert _build_outcome(build, names, attacks) == _build_outcome(
         reference_apx.build, names, attacks, reference_apx.adjacency
     )
@@ -180,6 +195,8 @@ def test_framework_is_a_value_of_its_names_and_attacks(h1):
         h1.names = ()
     with pytest.raises(AttributeError):
         h1.succ = ()
+    with pytest.raises(AttributeError):
+        del h1.names
 
 
 def test_framework_derives_its_adjacency_and_drops_repeated_attacks():

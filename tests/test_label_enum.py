@@ -361,7 +361,7 @@ def test_strategy_independent_result_set(f):
     results = []
     for pick in STRATEGIES.values():
         found = []
-        enumerate_extensions(f, pick=pick, sink=found.append)
+        enumerate_extensions(f, pick(f), sink=found.append)
         results.append(sorted(found))
     assert results[0] == results[1] == results[2]
 
@@ -424,7 +424,7 @@ def test_counters_follow_labels_at_every_event(order):
         for self_loops in (False, True):
             f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=self_loops, seed=seed))
             probe = CounterIdentity(f)
-            enumerate_extensions(f, STRATEGIES[order], probe=probe)
+            enumerate_extensions(f, STRATEGIES[order](f), probe=probe)
             events += probe.events
     assert events > 0
 
@@ -546,7 +546,7 @@ def test_every_checkpoint_finds_an_empty_worklist(monkeypatch, order):
     monkeypatch.setattr(LabelState, "checkpoint", recorded)
     for seed in range(40):
         f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=seed % 2 == 1, seed=seed))
-        enumerate_extensions(f, STRATEGIES[order])
+        enumerate_extensions(f, STRATEGIES[order](f))
     assert queued and set(queued) == {0}
 
 
@@ -566,7 +566,7 @@ def test_out_branch_never_ends_at_once(monkeypatch, order):
     for seed in range(40):
         for self_loops in (False, True):
             f = random_af(GenSpec(n=16, p=0.15, allow_self_loops=self_loops, seed=seed))
-            enumerate_extensions(f, STRATEGIES[order])
+            enumerate_extensions(f, STRATEGIES[order](f))
     assert results and all(results)
 
 
@@ -654,7 +654,7 @@ def test_event_stream_pinned():
             for limit in (None, 1, 2):
                 log, found = EventLog(), []
                 count = enumerate_extensions(
-                    f, STRATEGIES[order], found.append, probe=log, limit=limit
+                    f, STRATEGIES[order](f), found.append, probe=log, limit=limit
                 )
                 record = [count, [list(e) for e in found], log.events]
                 digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")

@@ -170,7 +170,7 @@ def test_strategy_independent_result_set(f):
     results = []
     for pick in STRATEGIES.values():
         found = []
-        enumerate_extensions(f, pick=pick, sink=found.append)
+        enumerate_extensions(f, pick(f), sink=found.append)
         results.append(sorted(found))
     assert results[0] == results[1] == results[2]
 

@@ -90,7 +90,7 @@ def sweep(n: int, stride: int = 1) -> list[str]:
                 witness = Witness(extensions)
                 probe = FanOut(Checker(f, check), witness)
                 try:
-                    engine.enumerate_extensions(f, STRATEGIES[order], found.append, probe=probe)
+                    engine.enumerate_extensions(f, STRATEGIES[order](f), found.append, probe=probe)
                 except InvariantViolation as exc:
                     failures.append(f"{name} {tag}: {exc}")
                     continue

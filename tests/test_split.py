@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 import random
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from itertools import accumulate
 
 import pytest
@@ -16,7 +16,7 @@ from stabenum.formats import format_extension, write_apx
 from stabenum.framework import Framework, build
 from stabenum.generators import GenSpec, random_af
 from stabenum.oracle import is_stable
-from stabenum.strategies import STRATEGIES, max_out_order, search_order
+from stabenum.strategies import STRATEGIES, max_out_order
 
 from conftest import h1_framework, pairs_framework
 from test_small_models import small_frameworks
@@ -285,7 +285,7 @@ def _last_tail(f: Framework, order: str) -> int:
     start, _ = split.groups(f.n, split.cuts(f, pick))[-1]
     last = set(pick[start:])
     first: list = []
-    if not label_enum.enumerate_extensions(f, STRATEGIES[order], first.append, limit=1):
+    if not label_enum.enumerate_extensions(f, pick, first.append, limit=1):
         return 1
     return len(",".join([f.names[x] for x in sorted(first[0]) if x in last])) + 3
 
@@ -365,24 +365,22 @@ def _rendered(f: Framework) -> tuple[list[str], Callable[[tuple[int, ...]], None
     return out, lambda ext: out.append(format_extension(ext, f.names) + "\n")
 
 
-def _split_text(engine, f: Framework, pick) -> tuple[int, str]:
+def _split_text(engine, f: Framework, order: Sequence[int]) -> tuple[int, str]:
     """The count and output text of a run that lists with the split and,
     where it returns None, with the single search, as the CLI does."""
-    order = search_order(f, pick)
     out, sink = _rendered(f)
     count = split.write(engine, f, order, out.append)
     if count is None:
         assert out == []
-        count = engine.enumerate_extensions(f, lambda g: order, sink)
+        count = engine.enumerate_extensions(f, order, sink)
     return count, "".join(out)
 
 
-def _split_count(engine, f: Framework, pick) -> int:
+def _split_count(engine, f: Framework, order: Sequence[int]) -> int:
     """The count of a run that counts with the split and, where it returns
     None, with the single search, as the CLI does."""
-    order = search_order(f, pick)
     count = split.count(engine, f, order)
-    return engine.enumerate_extensions(f, lambda g: order) if count is None else count
+    return engine.enumerate_extensions(f, order) if count is None else count
 
 
 @pytest.mark.parametrize("cap", [0, 1, 3, 8])
@@ -394,10 +392,11 @@ def test_stored_extensions_over_the_cap_fall_back(monkeypatch, engine, cap):
         concatenation(rng, False) for _ in range(20)
     ]:
         for pick in STRATEGIES.values():
+            order = pick(f)
             single, sink = _rendered(f)
-            count = engine.enumerate_extensions(f, pick, sink)
-            assert _split_text(engine, f, pick) == (count, "".join(single))
-            assert _split_count(engine, f, pick) == count
+            count = engine.enumerate_extensions(f, order, sink)
+            assert _split_text(engine, f, order) == (count, "".join(single))
+            assert _split_count(engine, f, order) == count
 
 
 def chains_and_pairs(*pieces: tuple[str, int]) -> Framework:
@@ -460,9 +459,9 @@ def test_the_cap_counts_stored_characters(monkeypatch, engine, cap, falls_back):
     monkeypatch.setattr(split, "MAX_STORED", cap)
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 30), (30, 58)]
     single, sink = _rendered(f)
-    assert engine.enumerate_extensions(f, STRATEGIES["lex"], sink) == 16
+    assert engine.enumerate_extensions(f, range(f.n), sink) == 16
     calls = _spy(monkeypatch, engine)
-    assert _split_text(engine, f, STRATEGIES["lex"]) == (16, "".join(single))
+    assert _split_text(engine, f, range(f.n)) == (16, "".join(single))
     assert (f in [c.g for c in calls]) == falls_back
 
 
@@ -475,7 +474,7 @@ def test_the_cap_counts_every_stored_group(monkeypatch, engine, cap, falls_back)
     monkeypatch.setattr(split, "MAX_STORED", cap)
     assert split.groups(f.n, split.cuts(f, range(f.n))) == [(0, 2), (2, 4), (4, 6)]
     calls = _spy(monkeypatch, engine)
-    assert _split_text(engine, f, STRATEGIES["lex"])[0] == 8
+    assert _split_text(engine, f, range(f.n))[0] == 8
     assert (f in [c.g for c in calls]) == falls_back
 
 
@@ -506,7 +505,7 @@ def test_no_later_group_is_searched_after_a_first_group_without_extension(monkey
                                 ("f", "g"), ("g", "f")])
     assert split.cuts(f, range(f.n)) == [3, 5]
     calls = _spy(monkeypatch, engine)
-    assert _split_text(engine, f, STRATEGIES["lex"]) == (0, "")
+    assert _split_text(engine, f, range(f.n)) == (0, "")
     assert [(c.g.names, c.advances) for c in calls] == [(("a", "b", "c"), 1)]
 
 
@@ -518,9 +517,9 @@ def test_each_group_is_searched_once(monkeypatch, engine):
     # end of the search
     f = pairs_framework(6)
     single, sink = _rendered(f)
-    assert engine.enumerate_extensions(f, STRATEGIES["lex"], sink) == 8
+    assert engine.enumerate_extensions(f, range(f.n), sink) == 8
     calls = _spy(monkeypatch, engine)
-    assert _split_text(engine, f, STRATEGIES["lex"]) == (8, "".join(single))
+    assert _split_text(engine, f, range(f.n)) == (8, "".join(single))
     assert [(c.g.names, c.advances) for c in calls] == [
         (("a0", "a1"), 3), (("a2", "a3"), 3), (("a4", "a5"), 3)
     ]
@@ -579,7 +578,8 @@ def test_count_equals_the_single_search(engine):
     rng = random.Random(20)
     for _ in range(150):
         f = pieces_framework(rng)
-        for order in STRATEGIES.values():
+        for pick in STRATEGIES.values():
+            order = pick(f)
             assert _split_count(engine, f, order) == engine.enumerate_extensions(f, order), f
 
 
@@ -607,7 +607,7 @@ def test_cuts_too_early_for_a_second_group_run_the_single_search(monkeypatch):
     assert split.cuts(f, range(f.n)) == [2]
     assert split.groups(f.n, [2]) == [(0, 100)]
     calls = _spy(monkeypatch, label_enum)
-    assert _split_text(label_enum, f, STRATEGIES["lex"])[0] == 2
+    assert _split_text(label_enum, f, range(f.n))[0] == 2
     assert [c.g for c in calls] == [f]
 
 
