@@ -28,11 +28,20 @@ moves forward along a path, so a search frame costs O(changes), not O(n):
 no frame scans all labels, only the report of an extension does, and the
 cursor passes each argument once per path; the cursor reaching the end of
 the order recognises a leaf.
-Only labels are journalled on a trail; a checkpoint also saves the worklist,
-empty at every checkpoint the search opens.  Backtracking replays the journal
-backwards, re-deriving the counters, and restores the saved worklist, so
-``mu``, ``pi`` and ``gamma`` return exactly.  The search runs on an explicit
-stack, not bounded by Python's recursion limit.
+Only labels are journalled on a trail, one int per relabelling: ``x`` when
+``x`` leaves blank, ``~x`` (that is, ``-x - 1``) when must-out ``x`` becomes
+out, so the sign tells the old label even for argument 0, where ``-0`` could
+not.  A checkpoint also saves the worklist, empty at every checkpoint the
+search opens.  Backtracking replays the journal backwards, re-deriving the
+counters, and restores the saved worklist, so ``mu``, ``pi`` and ``gamma``
+return exactly.  The search runs on an explicit stack, not bounded by
+Python's recursion limit.
+
+``mu`` holds :class:`Label` members only, and the hot paths test them by
+identity (``mu[x] is BLANK``): ``Label`` is an ``IntEnum``, so ``==`` on
+it takes the generic comparison rather than CPython's fast path for exact
+ints.  The triggers read an argument's counter first and its label only
+when the counter is 0 or 1, since no trigger fires at a higher count.
 
 Assigning an argument in relabels its neighbourhood by a plan built on its
 first assignment and kept for the rest of the search (it depends on the
@@ -74,11 +83,15 @@ class LabelState:
     ``succ`` is ``f.succ``; the worklist and the trail start empty.
     ``heap`` holds every queued argument, plus stale entries of arguments
     that have left ``gamma``; they are dropped when they reach the top.
-    The trail journals ``(x, old label)`` only, written where :func:`assign_in`
-    and :func:`_leave_blank` relabel; a checkpoint also saves ``gamma``.
-    ``plans[q]`` is ``None`` until :func:`assign_in` first assigns ``q``,
-    then ``q``'s relabelling plan: its neighbours in index order and, for
-    each, ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
+    ``mu`` holds :class:`Label` members only, which the engine tests by
+    identity.  The trail journals one int per relabelling, written where
+    :func:`assign_in` and :func:`_leave_blank` relabel: ``x`` when ``x``
+    leaves blank and ``~x`` when must-out ``x`` becomes out (``~0`` is -1,
+    where ``-0`` would read as a blank record); a checkpoint also saves
+    ``gamma``.  ``plans[q]`` is ``None`` until :func:`assign_in` first
+    assigns ``q``, then ``q``'s relabelling plan: a list of
+    ``(neighbour, label)`` pairs, its neighbours in index order, each with
+    ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
     depend on the framework alone, so they are never journalled and survive
     rollback; together they hold at most O(n + m) entries per search.
     ``dead_root`` is True when the triggers of :func:`initial_state` met a
@@ -93,9 +106,9 @@ class LabelState:
         self.succ = succ
         self.gamma: set[int] = set()
         self.heap: list[int] = []
-        self.trail: list[tuple[int, Label]] = []
+        self.trail: list[int] = []
         self.checkpoints: list[tuple[int, list[int]]] = []
-        self.plans: list[tuple[list[int], list[Label]] | None] = [None] * len(mu)
+        self.plans: list[list[tuple[int, Label]] | None] = [None] * len(mu)
         self.dead_root = False
 
     def gamma_add(self, x: int) -> bool:
@@ -122,16 +135,18 @@ class LabelState:
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
         mark, queued = self.checkpoints.pop()
-        undo = self.trail[mark:]
-        del self.trail[mark:]
-        mu, pi, succ = self.mu, self.pi, self.succ
-        for x, old in reversed(undo):
+        mu, pi, succ, trail = self.mu, self.pi, self.succ, self.trail
+        for x in reversed(trail[mark:]):
+            if x < 0:
+                mu[~x] = MUST_OUT
+                continue
             # only _leave_blank relabels blank to out or must-out, and it decrements
             # each target; assign_in's blank -> in and must-out -> out write no counter
-            if old == BLANK and mu[x] != IN:
+            if mu[x] is not IN:
                 for t in succ[x]:
                     pi[t] += 1
-            mu[x] = old
+            mu[x] = BLANK
+        del trail[mark:]
         self.gamma = set(queued)
         self.heap = queued  # sorted, so a heap
 
@@ -189,20 +204,23 @@ def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> b
     definition of the triggers."""
     mu, pi = state.mu, state.pi
     for t in ts:
+        left = pi[t]
+        # no trigger fires on two or more blank attackers, whatever the label
+        if left > 1:
+            continue
         label = mu[t]
-        if label == BLANK:
-            if pi[t] == 0:
+        if label is BLANK:
+            if left == 0:
                 _force(state, t, probe)
-        elif label == MUST_OUT:
-            left = pi[t]
+        elif label is MUST_OUT:
             if left == 0:
                 probe.dead_end(state)
                 return False
-            if left == 1:
-                for y in f.pred[t]:
-                    if mu[y] == BLANK:
-                        _force(state, y, probe)
-                        break
+            # one blank attacker left, which must join
+            for y in f.pred[t]:
+                if mu[y] is BLANK:
+                    _force(state, y, probe)
+                    break
     return True
 
 
@@ -247,13 +265,13 @@ def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: P
     The label write is one of the trail's three writes (see :func:`assign_in`);
     the counters are not journalled, since rollback re-derives them.
     """
-    state.trail.append((x, BLANK))
+    state.trail.append(x)
     state.mu[x] = label
     pi = state.pi
     targets = f.succ[x]
     for t in targets:
         pi[t] -= 1
-    if label == MUST_OUT and not _fire(state, f, (x,), probe):
+    if label is MUST_OUT and not _fire(state, f, (x,), probe):
         return False
     return _fire(state, f, targets, probe)
 
@@ -271,20 +289,20 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     """
     mu, trail = state.mu, state.trail
     state.gamma.discard(q)
-    trail.append((q, BLANK))
+    trail.append(q)
     mu[q] = IN
     plan = state.plans[q]
     if plan is None:
         targets = set(f.succ[q])
-        neighbours = sorted(targets.union(f.pred[q]))
-        labels = [OUT if z in targets else MUST_OUT for z in neighbours]
-        plan = state.plans[q] = (neighbours, labels)
+        plan = state.plans[q] = [
+            (z, OUT if z in targets else MUST_OUT) for z in sorted(targets.union(f.pred[q]))
+        ]
     for z in f.succ[q]:
-        if mu[z] == MUST_OUT:
-            trail.append((z, MUST_OUT))
+        if mu[z] is MUST_OUT:
+            trail.append(~z)
             mu[z] = OUT
-    for z, label in zip(*plan):
-        if mu[z] == BLANK and not _leave_blank(state, f, z, label, probe):
+    for z, label in plan:
+        if mu[z] is BLANK and not _leave_blank(state, f, z, label, probe):
             return False
     return True
 
@@ -300,7 +318,7 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     """
     while state.gamma:
         q = state.first_queued()
-        assert state.mu[q] == BLANK, f"stale worklist entry {f.names[q]}"
+        assert state.mu[q] is BLANK, f"stale worklist entry {f.names[q]}"
         if not assign_in(state, f, q, probe):
             return False
         probe.state(state)
@@ -349,7 +367,7 @@ def extensions(
     while True:
         if drain(state, f, probe):
             mu = state.mu
-            while cursor < n and mu[order[cursor]] != BLANK:
+            while cursor < n and mu[order[cursor]] is not BLANK:
                 cursor += 1
             if cursor < n:
                 x = order[cursor]

@@ -13,7 +13,7 @@ from stabenum import label_enum, set_enum
 from stabenum.generators import GenSpec, random_af
 from stabenum.invariants import Checker, check_label_state
 from stabenum.oracle import enumerate_bruteforce, is_stable
-from stabenum.strategies import STRATEGIES, SearchStats, deliver, search_order
+from stabenum.strategies import STRATEGIES, FanOut, Probe, SearchStats, deliver, search_order
 
 from conftest import frameworks, h1_framework, pairs_framework
 
@@ -76,16 +76,38 @@ def test_search_counters_pinned(f, order, set_counters, label_counters):
         assert (count, stats.branches, stats.propagations) == expected
 
 
+class LabelsAreMembers(Probe):
+    """Checks at every event that each label is a ``Label`` member, which
+    the engine's identity tests (``mu[x] is BLANK``) rely on."""
+
+    def _check(self, state):
+        assert all(type(y) is label_enum.Label for y in state.mu)
+
+    def state(self, state):
+        self._check(state)
+
+    def branch(self, state, x):
+        self._check(state)
+
+    def force(self, state, x):
+        self._check(state)
+
+    def dead_end(self, state):
+        self._check(state)
+
+
 def _branch_parity(f, order):
     """Run both engines with ``order``; returns (set, label) (extensions, branches).
 
     Each engine's generator yields the sequence that its sink receives, each
-    extension's arguments strictly ascending."""
+    extension's arguments strictly ascending; every label of a ``label`` state
+    is a ``Label`` member at every event."""
     runs = []
     for engine in (set_enum, label_enum):
         stats = SearchStats()
+        probe = FanOut(stats, LabelsAreMembers()) if engine is label_enum else stats
         found: list = []
-        engine.enumerate_extensions(f, STRATEGIES[order](f), found.append, probe=stats)
+        engine.enumerate_extensions(f, STRATEGIES[order](f), found.append, probe=probe)
         assert list(engine.extensions(f, STRATEGIES[order](f))) == found
         assert all(all(x < y for x, y in zip(ext, ext[1:])) for ext in found)
         runs.append((sorted(found), stats.branches))

@@ -13,9 +13,12 @@ from stabenum.label_enum import (
     BLANK,
     IN,
     MUST_OUT,
+    OUT,
+    Label,
     LabelState,
     Tracer,
     UnbalancedRollback,
+    _fire,
     assign_in,
     drain,
     enumerate_extensions,
@@ -239,6 +242,37 @@ def test_checkpoint_rollback_second_branch(h1):
     assert tables(state, h1) == T5
 
 
+@pytest.mark.parametrize("excluded_before_checkpoint", [True, False])
+def test_rollback_restores_argument_zero_from_out(excluded_before_checkpoint):
+    # the trail journals a must-out -> out record as ~z; ~0 == -1 is the
+    # record that -z would journal as 0, a blank record, and that a rollback
+    # taking it as an index would apply to the last argument, e, whose
+    # targets' counters would drift
+    f = build(
+        ["a", "b", "c", "d", "e"],
+        [("b", "a"), ("e", "a"), ("b", "c"), ("d", "b"), ("e", "d"), ("e", "c")],
+    )
+    a, b = 0, 1
+    state = initial_state(f)
+    if excluded_before_checkpoint:
+        assert mark_must_out(state, f, a)
+    snapshot = (list(state.mu), list(state.pi), set(state.gamma))
+    state.checkpoint()
+    if not excluded_before_checkpoint:
+        assert mark_must_out(state, f, a)
+    mark = state.checkpoints[-1][0]
+    assert assign_in(state, f, b)
+    assert state.mu[a] is OUT
+    # blank records on both sides of argument 0's must-out -> out record
+    records = state.trail[mark:]
+    at = records.index(~a)
+    assert records[at - 1] == b and records[at + 1] >= 0
+    state.rollback()
+    assert (state.mu, state.pi, state.gamma) == snapshot
+    assert len(state.trail) == mark and state.heap == sorted(snapshot[2])
+    assert all(type(y) is Label for y in state.mu)
+
+
 def test_unbalanced_rollback(h1):
     state = initial_state(h1)
     with pytest.raises(UnbalancedRollback):
@@ -340,6 +374,42 @@ def test_stale_worklist_entry_is_dead_end():
     dead = [chosen for chosen, blank in probe.dead]
     assert dead == [frozenset({0})]
     assert enumerate_extensions(f) == 0
+
+
+class Ordered(Probe):
+    """Records the force and dead-end events in the order they occur."""
+
+    def __init__(self):
+        self.events = []
+
+    def force(self, state, x):
+        self.events.append(("force", x))
+
+    def dead_end(self, state):
+        self.events.append(("dead_end",))
+
+
+@pytest.mark.parametrize("label", list(Label))
+@pytest.mark.parametrize("left", [2, 3])
+def test_fire_ignores_two_or_more_blank_attackers(label, left):
+    # x's three blank attackers; no trigger fires at two or more of them left
+    f = build(["x", "p", "q", "r"], [("p", "x"), ("q", "x"), ("r", "x")])
+    state = LabelState([label, BLANK, BLANK, BLANK], [left, 0, 0, 0], f.succ)
+    probe = Ordered()
+    assert _fire(state, f, [0], probe)
+    assert probe.events == [] and state.gamma == set() and state.heap == []
+
+
+def test_fire_stops_at_the_dead_end():
+    # targets in pass order: blank t0 with no blank attacker, must-out t1 with
+    # one (y), must-out t2 with none, blank t3 with none
+    f = build(["t0", "t1", "t2", "t3", "y"], [("y", "t1")])
+    state = LabelState([BLANK, MUST_OUT, MUST_OUT, BLANK, BLANK], [0, 1, 0, 0, 0], f.succ)
+    probe = Ordered()
+    assert not _fire(state, f, [0, 1, 2, 3], probe)
+    # forces of earlier targets come first, in target order; t3 is never forced
+    assert probe.events == [("force", 0), ("force", 4), ("dead_end",)]
+    assert state.gamma == {0, 4}
 
 
 def test_counters_stay_non_negative(h1):
