@@ -41,7 +41,10 @@ Python's recursion limit.
 identity (``mu[x] is BLANK``): ``Label`` is an ``IntEnum``, so ``==`` on
 it takes the generic comparison rather than CPython's fast path for exact
 ints.  The triggers read an argument's counter first and its label only
-when the counter is 0 or 1, since no trigger fires at a higher count.
+when the counter is 0 or 1, since no trigger fires at a higher count; for
+the same reason a new must-out argument's own triggers are fired only when
+its counter is below 2.  A probe is called only when one is passed in: the
+engine tests ``probe is not NO_PROBE`` before each event.
 
 Assigning an argument in relabels its neighbourhood by a plan built on its
 first assignment and kept for the rest of the search (it depends on the
@@ -151,7 +154,7 @@ class LabelState:
         self.heap = queued  # sorted, so a heap
 
     def members(self, label: Label) -> tuple[int, ...]:
-        return tuple([x for x, y in enumerate(self.mu) if y == label])
+        return tuple([x for x, y in enumerate(self.mu) if y is label])
 
     @property
     def chosen(self) -> frozenset[int]:
@@ -194,8 +197,12 @@ class Tracer(Probe):
 
 def _force(state: LabelState, x: int, probe: Probe) -> None:
     """Enqueue an argument that must join every completion of this branch."""
-    if state.gamma_add(x):
-        probe.force(state, x)
+    gamma = state.gamma
+    if x not in gamma:
+        gamma.add(x)
+        heappush(state.heap, x)
+        if probe is not NO_PROBE:
+            probe.force(state, x)
 
 
 def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> bool:
@@ -214,7 +221,8 @@ def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> b
                 _force(state, t, probe)
         elif label is MUST_OUT:
             if left == 0:
-                probe.dead_end(state)
+                if probe is not NO_PROBE:
+                    probe.dead_end(state)
                 return False
             # one blank attacker left, which must join
             for y in f.pred[t]:
@@ -271,7 +279,8 @@ def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: P
     targets = f.succ[x]
     for t in targets:
         pi[t] -= 1
-    if label is MUST_OUT and not _fire(state, f, (x,), probe):
+    # _fire's rule: no trigger fires on two or more blank attackers
+    if label is MUST_OUT and pi[x] < 2 and not _fire(state, f, (x,), probe):
         return False
     return _fire(state, f, targets, probe)
 
@@ -293,10 +302,9 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     mu[q] = IN
     plan = state.plans[q]
     if plan is None:
-        targets = set(f.succ[q])
-        plan = state.plans[q] = [
-            (z, OUT if z in targets else MUST_OUT) for z in sorted(targets.union(f.pred[q]))
-        ]
+        labels = dict.fromkeys(f.pred[q], MUST_OUT)
+        labels.update(dict.fromkeys(f.succ[q], OUT))
+        plan = state.plans[q] = sorted(labels.items())
     for z in f.succ[q]:
         if mu[z] is MUST_OUT:
             trail.append(~z)
@@ -321,7 +329,8 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
         assert state.mu[q] is BLANK, f"stale worklist entry {f.names[q]}"
         if not assign_in(state, f, q, probe):
             return False
-        probe.state(state)
+        if probe is not NO_PROBE:
+            probe.state(state)
     return True
 
 
@@ -363,7 +372,9 @@ def extensions(
     # checkpoint, opened before the in-branch, also undoes the out-branches
     # of every deeper branch
     pending: list[tuple[int, int]] = []
-    probe.state(state)
+    probing = probe is not NO_PROBE
+    if probing:
+        probe.state(state)
     while True:
         if drain(state, f, probe):
             mu = state.mu
@@ -371,11 +382,13 @@ def extensions(
                 cursor += 1
             if cursor < n:
                 x = order[cursor]
-                probe.branch(state, x)
+                if probing:
+                    probe.branch(state, x)
                 pending.append((x, cursor))
                 state.checkpoint()
                 state.gamma_add(x)
-                probe.state(state)
+                if probing:
+                    probe.state(state)
                 continue
             assert is_solution(state)
             yield state.members(IN)
@@ -386,7 +399,8 @@ def extensions(
         state.rollback()
         excluded = mark_must_out(state, f, x, probe)
         assert excluded, f"excluding branch argument {f.names[x]} ended its branch"
-        probe.state(state)
+        if probing:
+            probe.state(state)
 
 
 def enumerate_extensions(

@@ -97,21 +97,27 @@ def propagate(state: SetState, f: Framework, probe: Probe = NO_PROBE) -> SetStat
 
     ``probe`` sees each forced argument and the state after each join.
     """
+    probing = probe is not NO_PROBE
     while True:
         if dead_end(state, f):
-            probe.dead_end(state)
+            if probing:
+                probe.dead_end(state)
             return None
         alpha = forced_in(state, f)
         if alpha:
-            for x in sorted(alpha):
-                probe.force(state, x)
+            if probing:
+                for x in sorted(alpha):
+                    probe.force(state, x)
             state = apply_join(state, f, alpha)
-            probe.state(state)
+            if probing:
+                probe.state(state)
         beta = sole_attacker(state, f)
         if beta is not None:
-            probe.force(state, beta)
+            if probing:
+                probe.force(state, beta)
             state = apply_join(state, f, frozenset((beta,)))
-            probe.state(state)
+            if probing:
+                probe.state(state)
         if not alpha and beta is None:
             return state
 
@@ -130,12 +136,14 @@ def extensions(
     """
     # (state, x) per branch on x whose out-branch is still to try
     pending: list[tuple[SetState, int]] = []
+    probing = probe is not NO_PROBE
     state = start_state(f)
     while True:
         after = propagate(state, f, probe)
         if after is not None and after.choice:
             x = next(y for y in order if y in after.choice)
-            probe.branch(after, x)
+            if probing:
+                probe.branch(after, x)
             pending.append((after, x))
             state = apply_join(after, f, frozenset((x,)))
         else:
@@ -148,7 +156,8 @@ def extensions(
             after, x = pending.pop()
             state = SetState(after.chosen, after.defeated,
                              after.choice - {x}, after.tabu | {x})
-        probe.state(state)
+        if probing:
+            probe.state(state)
 
 
 def enumerate_extensions(

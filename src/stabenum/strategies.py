@@ -44,7 +44,9 @@ class Probe:
     Each method gets the engine's live state, which exposes ``chosen`` (the
     extension under construction) and ``choice`` (the arguments still free
     to join).  Read them only when needed: on ``label`` states each read is
-    an O(n) scan.
+    an O(n) scan.  The engines call a probe only when one is passed in:
+    they call no method of :data:`NO_PROBE`, so patching this class does
+    not see a search run without a probe; count through a probe instead.
     """
 
     def state(self, state: object) -> None:
@@ -61,6 +63,7 @@ class Probe:
 
 
 NO_PROBE = Probe()
+"""The default probe: the engines test for it by identity and never call it."""
 
 
 class FanOut(Probe):

@@ -120,17 +120,48 @@ def test_branch_parity(f, order):
     assert label_run == set_run
 
 
-def test_branch_parity_sweep():
-    mismatches = []
+def _sweep():
+    """The random frameworks of the branch parity sweep, each with its
+    ``(n, p, allow_self_loops, seed)``."""
     for n, p, allow, seed in itertools.product(
         (12, 20, 30), (0.1, 0.2, 0.3), (False, True), range(40)
     ):
-        f = random_af(GenSpec(n=n, p=p, allow_self_loops=allow, seed=seed))
+        yield (n, p, allow, seed), random_af(GenSpec(n=n, p=p, allow_self_loops=allow, seed=seed))
+
+
+def test_branch_parity_sweep():
+    mismatches = []
+    for spec, f in _sweep():
         for order in ("lex", "max-out", "max-in"):
             set_run, label_run = _branch_parity(f, order)
             if label_run != set_run:
-                mismatches.append((n, p, allow, seed, order, set_run[1], label_run[1]))
+                mismatches.append((*spec, order, set_run[1], label_run[1]))
     assert mismatches == []
+
+
+def test_default_probe_is_never_called(monkeypatch):
+    # the engines test for NO_PROBE by identity, so a class-level patch of
+    # Probe sees the events of a probe passed in and nothing else
+    calls = dict.fromkeys(("state", "branch", "force", "dead_end"), 0)
+
+    def counted(name):
+        def event(self, *args):
+            calls[name] += 1
+        return event
+
+    for name in calls:
+        monkeypatch.setattr(Probe, name, counted(name))
+    for spec, f in _sweep():
+        for pick in STRATEGIES.values():
+            for engine in (set_enum, label_enum):
+                engine.enumerate_extensions(f, pick(f))
+                assert calls == dict.fromkeys(calls, 0), (spec, engine.__name__)
+                engine.enumerate_extensions(f, pick(f), probe=Probe())
+                branches, forces = calls["branch"], calls["force"]
+                stats = SearchStats()
+                engine.enumerate_extensions(f, pick(f), probe=stats)
+                assert (branches, forces) == (stats.branches, stats.propagations)
+                calls.update(dict.fromkeys(calls, 0))
 
 
 @pytest.mark.parametrize("engine", [set_enum, label_enum])

@@ -426,6 +426,31 @@ def test_agrees_with_bruteforce(f):
     assert sorted(found) == enumerate_bruteforce(f)
 
 
+class LastState(Probe):
+    """Keeps the state of the last state boundary: the search's one ``LabelState``."""
+
+    state_seen = None
+
+    def state(self, state):
+        self.state_seen = state
+
+
+@given(frameworks(max_args=8))
+def test_relabelling_plans(f):
+    # a plan lists q's neighbours ascending: OUT for each target of q, an
+    # attacker of q included, and MUST_OUT for each argument that only attacks q
+    probe = LastState()
+    enumerate_extensions(f, probe=probe)
+    plans = probe.state_seen.plans if probe.state_seen is not None else []
+    for q, plan in enumerate(plans):
+        if plan is None:
+            continue
+        targets = {y for x, y in f.attacks if x == q}
+        attackers = {x for x, y in f.attacks if y == q}
+        assert [z for z, _ in plan] == sorted(targets | attackers)
+        assert all(label is (OUT if z in targets else MUST_OUT) for z, label in plan)
+
+
 @given(frameworks(max_args=7))
 def test_strategy_independent_result_set(f):
     results = []
