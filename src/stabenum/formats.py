@@ -14,8 +14,9 @@ LF, CRLF, and also a lone CR, VT, FF, FS/GS/RS, NEL, U+2028 and U+2029; the
 same boundaries end an apx ``%`` comment.  The parsers only lex:
 :func:`~stabenum.framework.build` drops repeated declarations, which become
 warnings, and rejects attacks on undeclared arguments.  Errors and warnings
-carry a 1-based line number.  apx is lexed in one regex pass, and its line
-numbers are worked out only when a diagnostic is reported.
+carry a 1-based line number.  apx is lexed by one regex, a window of at
+least ``_WINDOW`` characters at a time, each ending just after a ``\n``;
+its line numbers are worked out only when a diagnostic is reported.
 """
 
 from __future__ import annotations
@@ -61,11 +62,13 @@ _NAME = r"[A-Za-z0-9_]+"
 _EOL = r"\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
 # One apx token per match: an arg fact (group 1), an att fact (groups 2 and
 # 3), a comment (no group) or a stray character (group 4), which is an error;
-# its match runs to the end of the text, so lexing stops at the first error.
-# Whitespace (``\s`` is ``str.isspace``) matches nothing and is skipped.
+# its match runs to the end of the window, so lexing stops at the first
+# error.  Whitespace (``\s`` is ``str.isspace``) matches nothing and is skipped.
 _APX = re.compile(
     rf"arg\(({_NAME})\)\.|att\(({_NAME}),({_NAME})\)\.|%[^{_EOL}]*|(\S)[\s\S]*"
 )
+# the least number of characters in one window of the apx lexer
+_WINDOW = 1 << 16
 _TOKEN = re.compile(_NAME)
 
 
@@ -93,23 +96,37 @@ def _build(
 
 
 def _lex_apx(text: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """The names of the arg facts and the pairs of the att facts, in order."""
-    tokens = _APX.findall(text)
-    if tokens and tokens[-1][3]:
-        pos = next(m.start() for m in _APX.finditer(text) if m.lastindex == 4)
-        lineno = len(text[:pos + 1].splitlines())  # text[pos] is no line break
-        # the line from pos, less its comment: no '%' precedes pos on the
-        # line, or pos would be inside one
-        near = text[pos:pos + 20].splitlines()[0].split("%", 1)[0]
-        raise ParseError(f"malformed fact near {near!r}", lineno)
-    return [name for name, _, _, _ in tokens if name], [(a, b) for _, a, b, _ in tokens if a]
+    """The names of the arg facts and the pairs of the att facts, in order.
+
+    The text is lexed a window at a time, so only one window's tokens are
+    held at once.
+    """
+    names: list[str] = []
+    attacks: list[tuple[str, str]] = []
+    start, end = 0, len(text)
+    while start < end:
+        # a window ends just after a '\n', which no fact or comment spans
+        brk = text.find("\n", start + _WINDOW)
+        stop = end if brk < 0 else brk + 1
+        tokens = _APX.findall(text, start, stop)
+        if tokens and tokens[-1][3]:
+            pos = next(m.start() for m in _APX.finditer(text, start, stop) if m.lastindex == 4)
+            lineno = len(text[:pos + 1].splitlines())  # text[pos] is no line break
+            # the line from pos, less its comment: no '%' precedes pos on the
+            # line, or pos would be inside one
+            near = text[pos:pos + 20].splitlines()[0].split("%", 1)[0]
+            raise ParseError(f"malformed fact near {near!r}", lineno)
+        names += [name for name, _, _, _ in tokens if name]
+        attacks += [(a, b) for _, a, b, _ in tokens if a]
+        start = stop
+    return names, attacks
 
 
 def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
     """Parse apx facts into a framework.
 
     Attacks may precede the declarations they refer to.  The text is lexed
-    in one pass; line numbers are worked out only for a diagnostic.
+    in windows; line numbers are worked out only for a diagnostic.
     """
     names, attacks = _lex_apx(text)
 

@@ -72,42 +72,54 @@ class Framework(Frozen):
     """An immutable directed graph of arguments and attacks.
 
     Argument indices are dense, contiguous and follow declaration order;
-    ``names`` maps them back to their external labels.  ``succ[x]`` holds
-    the targets of ``x`` and ``pred[x]`` its attackers, both sorted and
-    duplicate-free.  Instances never change after construction and are
-    safe to share read-only between concurrent searches (see
-    :class:`Frozen`).  Two frameworks are equal, and hash alike, when their
-    ``names`` and ``attacks`` are; the other fields are derived from those
-    two.  ``attacks`` keeps declaration order, so the same attacks declared
-    in another order give unequal frameworks.
+    ``names`` maps them back to their external labels.  The attack relation
+    is stored once, as adjacency: ``succ[x]`` holds the targets of ``x`` and
+    ``pred[x]`` its attackers, both sorted and repeat-free, and
+    ``self_loop[x]`` tells whether ``x`` attacks itself.  ``attacks`` is
+    derived from ``succ``: every attack once, by attacker, then target,
+    whatever order the attacks were given in.  Two frameworks are equal, and
+    hash alike, when their ``names`` and ``attacks`` are, so the attacks
+    compare as a set, as R in (A, R).  Instances never change after
+    construction and are safe to share read-only between concurrent searches
+    (see :class:`Frozen`).
     """
 
-    __slots__ = ("names", "attacks", "succ", "pred", "self_loop")
+    __slots__ = ("names", "succ", "pred", "self_loop")
     _value_fields = ("names", "attacks")
 
     def __init__(self, names: tuple[str, ...], attacks: Iterable[tuple[int, int]]) -> None:
-        """Each attack is a pair of indices in ``range(len(names))``; a
-        repeated attack is dropped, the first of its occurrences kept."""
-        pairs = tuple(dict.fromkeys(attacks))
+        """Each attack is a pair of indices in ``range(len(names))``, in any
+        order; a repeated attack counts once."""
         n = len(names)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        pred: list[list[int]] = [[] for _ in range(n)]
-        self_loop = [False] * n
-        for x, y in pairs:
+        succ: list = [[] for _ in range(n)]
+        pred: list = [[] for _ in range(n)]
+        for x, y in attacks:
             succ[x].append(y)
             pred[y].append(x)
-            if x == y:
-                self_loop[x] = True
-        for targets in succ:
-            targets.sort()
-        for attackers in pred:
-            attackers.sort()
-        self._fill(names, pairs, tuple(map(tuple, succ)), tuple(map(tuple, pred)),
-                   tuple(self_loop))
+        _canonical(succ)
+        _canonical(pred)
+        self._fill(names, tuple(succ), tuple(pred),
+                   tuple([x in targets for x, targets in enumerate(succ)]))
 
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @property
+    def attacks(self) -> tuple[tuple[int, int], ...]:
+        """Every attack ``(x, y)`` once, by attacker ``x``, then target ``y``."""
+        return tuple([(x, y) for x, targets in enumerate(self.succ) for y in targets])
+
+
+def _canonical(lists: list) -> None:
+    """Sort each list, drop its repeats and make it a tuple, in place."""
+    for i, items in enumerate(lists):
+        if len(items) > 1:
+            items.sort()
+            unique = set(items)
+            if len(unique) < len(items):
+                items = sorted(unique)
+        lists[i] = tuple(items)
 
 
 def build(
@@ -117,10 +129,12 @@ def build(
 ) -> Framework:
     """Assemble a :class:`Framework` from declared names and name pairs.
 
-    Repeated declarations are dropped, and :class:`Framework` drops repeated
-    attacks; ``warn(i, message)`` is told about each repeated name, ``i``
-    being its position in ``names``.  The first attack with an endpoint
-    missing from ``names`` raises :class:`UnknownArgument`.
+    Repeated declarations are dropped, and :class:`Framework` counts a
+    repeated attack once; ``warn(i, message)`` is told about each repeated
+    name, ``i`` being its position in ``names``.  The first attack with an
+    endpoint missing from ``names`` raises :class:`UnknownArgument`.  The
+    endpoints are resolved into one list of attackers and one of targets,
+    which the constructor reads pairwise, so no pair is made per attack.
     """
     names = list(names)
     ordered = tuple(dict.fromkeys(names))
@@ -134,7 +148,8 @@ def build(
 
     attacks = list(attacks)
     try:
-        resolved = [(index[a], index[b]) for a, b in attacks]
+        attackers = [index[a] for a, _ in attacks]
+        targets = [index[b] for _, b in attacks]
     except KeyError:
         i, a, b = next(
             (i, a, b) for i, (a, b) in enumerate(attacks) if a not in index or b not in index
@@ -143,7 +158,7 @@ def build(
         raise UnknownArgument(
             f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
         ) from None
-    return Framework(ordered, resolved)
+    return Framework(ordered, zip(attackers, targets))
 
 
 def attacked_by(f: Framework, args: Iterable[int]) -> frozenset[int]:

@@ -122,13 +122,6 @@ class LabelState:
         heappush(self.heap, x)
         return True
 
-    def first_queued(self) -> int:
-        """The lowest queued argument; ``gamma`` must not be empty."""
-        heap, gamma = self.heap, self.gamma
-        while heap[0] not in gamma:
-            heappop(heap)
-        return heap[0]
-
     def checkpoint(self) -> None:
         """Mark the trail and save the worklist, in O(|gamma|)."""
         self.checkpoints.append((len(self.trail), sorted(self.gamma)))
@@ -324,8 +317,12 @@ def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
     that of the must-out argument it was forced for fires there.  ``probe``
     sees the state after each assignment that keeps the branch alive.
     """
-    while state.gamma:
-        q = state.first_queued()
+    heap, gamma = state.heap, state.gamma
+    while gamma:
+        # the lowest queued argument: stale heap entries are dropped on top
+        while heap[0] not in gamma:
+            heappop(heap)
+        q = heap[0]
         assert state.mu[q] is BLANK, f"stale worklist entry {f.names[q]}"
         if not assign_in(state, f, q, probe):
             return False

@@ -34,10 +34,7 @@ def is_stable(f: Framework, members: Iterable[int]) -> bool:
 
 def succ_masks(f: Framework) -> list[int]:
     """Per-argument bitmask of attack targets."""
-    masks = [0] * f.n
-    for x, y in f.attacks:
-        masks[x] |= 1 << y
-    return masks
+    return [sum([1 << y for y in targets]) for targets in f.succ]
 
 
 def _mask_to_tuple(mask: int, n: int) -> tuple[int, ...]:

@@ -122,12 +122,11 @@ def groups(n: int, cut: list[int]) -> list[tuple[int, int]]:
 
 def restrict(f: Framework, start: int, end: int) -> Framework:
     """The framework on the arguments ``start .. end-1`` of ``f``, each
-    numbered ``start`` less, with the attacks among them by attacker, then
-    target; none of them may attack, or be attacked by, an argument outside
-    that range."""
+    numbered ``start`` less, with the attacks among them; none of them may
+    attack, or be attacked by, an argument outside that range."""
     return Framework(
         f.names[start:end],
-        tuple([(x - start, t - start) for x in range(start, end) for t in f.succ[x]]),
+        ((x - start, t - start) for x in range(start, end) for t in f.succ[x]),
     )
 
 

@@ -2,10 +2,12 @@
 ``stabenum.formats.parse_apx`` and ``stabenum.framework.build`` replaced,
 kept as the references their tests compare against.
 
-``build`` returns a :class:`Framework`, which derives its own adjacency, so
-:func:`adjacency` keeps the item-by-item derivation of ``succ``, ``pred``
-and ``self_loop`` apart from the constructor: the tests compare the fields
-of the framework under test with it."""
+``build`` returns a :class:`Reference`, not a :class:`Framework`, so that no
+part of the expected value passes through the constructor under test: its
+``attacks`` are the set of resolved pairs, listed by attacker, then target,
+and :func:`adjacency` derives ``succ``, ``pred`` and ``self_loop`` from them
+one attack at a time.  The tests compare the framework under test with it
+field by field."""
 
 from __future__ import annotations
 
@@ -13,15 +15,24 @@ import re
 from typing import Callable, Iterable
 
 from stabenum.formats import ParseDiagnostic, ParseError
-from stabenum.framework import Framework, UnknownArgument
+from stabenum.framework import UnknownArgument
+
+
+class Reference:
+    """A framework's value as the reference builds it: its ``names`` and
+    its ``attacks``, each attack once, by attacker, then target."""
+
+    def __init__(self, names: tuple[str, ...], attacks: Iterable[tuple[int, int]]) -> None:
+        self.names = names
+        self.attacks = tuple(sorted(attacks))
 
 
 def build(
     names: Iterable[str],
     attacks: Iterable[tuple[str, str]],
     warn: Callable[[int, str], None] | None = None,
-) -> Framework:
-    """Assemble a :class:`Framework` from declared names and name pairs.
+) -> Reference:
+    """Assemble a :class:`Reference` from declared names and name pairs.
 
     Repeated declarations and repeated attacks are dropped; ``warn(i,
     message)`` is told about each repeated name, ``i`` being its position in
@@ -52,21 +63,23 @@ def build(
         seen.add(pair)
         pairs.append(pair)
 
-    return Framework(tuple(ordered), tuple(pairs))
+    return Reference(tuple(ordered), pairs)
 
 
-def adjacency(f: Framework) -> tuple:
-    """``(succ, pred, self_loop)`` of ``f``, derived from its ``names`` and
-    ``attacks`` one attack at a time."""
-    succ: list[list[int]] = [[] for _ in range(f.n)]
-    pred: list[list[int]] = [[] for _ in range(f.n)]
+def adjacency(f) -> tuple:
+    """``(succ, pred, self_loop)`` of ``f``, a :class:`Reference` or a
+    framework, derived from its ``names`` and ``attacks`` one attack at a
+    time."""
+    n = len(f.names)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    pred: list[list[int]] = [[] for _ in range(n)]
     for x, y in f.attacks:
         succ[x].append(y)
         pred[y].append(x)
     return (
         tuple(tuple(sorted(t)) for t in succ),
         tuple(tuple(sorted(t)) for t in pred),
-        tuple((x, x) in f.attacks for x in range(f.n)),
+        tuple((x, x) in f.attacks for x in range(n)),
     )
 
 
@@ -81,7 +94,7 @@ def _build(
     attacks: list[tuple[str, str]],
     attack_lines: list[int],
     diagnostics: list[ParseDiagnostic] | None,
-) -> Framework:
+) -> Reference:
     """Call :func:`build` and map the positions it reports to line numbers."""
 
     def warn(i: int, message: str) -> None:
@@ -95,8 +108,8 @@ def _build(
         raise
 
 
-def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
-    """Parse apx facts into a framework.
+def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Reference:
+    """Parse apx facts into a :class:`Reference`.
 
     Attacks may precede the declarations they refer to.
     """

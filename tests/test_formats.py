@@ -211,9 +211,9 @@ def test_cross_format_equality(f):
     assert parse_apx(write_apx(f)) == parse_tgf(write_tgf(f))
 
 
-# ---------------------------------------------------------------- the one-pass apx lexer
+# ---------------------------------------------------------------- the regex apx lexer
 # parse_apx must read every text as the line-by-line lexer it replaced
-# (tests/reference_apx.py) does: same framework, diagnostics and errors.
+# (tests/reference_apx.py) does: same names, attacks, diagnostics and errors.
 
 _LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _SPACES = (" ", "\t", "\xa0", "\u3000", "\x1f")
@@ -242,14 +242,15 @@ def apx_texts(draw):
 
 
 def _outcome(parse, text, adjacency=attrgetter("succ", "pred", "self_loop")):
-    """What parsing ``text`` gives: the framework, ``adjacency`` of it and
-    the diagnostics, or the exception's type, message, line and index."""
+    """What parsing ``text`` gives: the names and attacks of the framework,
+    ``adjacency`` of it and the diagnostics, or the exception's type,
+    message, line and index."""
     diagnostics = []
     try:
         f = parse(text, diagnostics)
     except (ParseError, UnknownArgument) as exc:
         return type(exc), exc.message, exc.line, getattr(exc, "index", None)
-    return f, adjacency(f), diagnostics
+    return (f.names, f.attacks), adjacency(f), diagnostics
 
 
 def _reference_outcome(text):
@@ -311,6 +312,70 @@ def test_parse_apx_stops_lexing_at_the_first_malformed_fact():
 def test_parse_apx_comment_ends_at_a_line_break_that_is_not_lf():
     f = parse_apx("% arg(x).\rarg(a).% arg(y).\u2029arg(b).")
     assert f.names == ("a", "b")
+
+
+# ---------------------------------------------------------------- the windowed apx lexer
+# parse_apx lexes a window of at least formats._WINDOW characters at a time,
+# each ending just after a '\n'.  With a window of a few characters, facts,
+# comments and errors fall on every side of a window's edge, and the outcome
+# must still be the reference's, line numbers included.
+
+
+def _lexed(text, window):
+    """``formats._lex_apx(text)`` with windows of ``window`` characters, or
+    the :class:`ParseError`'s message and line."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_WINDOW", window)
+        try:
+            return formats._lex_apx(text)
+        except ParseError as exc:
+            return exc.message, exc.line
+
+
+@settings(max_examples=400)
+@given(apx_texts(), st.integers(1, 12))
+def test_windowed_lexer_matches_the_reference(text, window):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_WINDOW", window)
+        assert _outcome(parse_apx, text) == _reference_outcome(text)
+    # the names and attacks in their order of declaration, as one window lexes them
+    assert _lexed(text, window) == _lexed(text, len(text) + 1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("arg(a).\r\narg(b).\r\natt(b,a).\r\narg(a).\r\n", id="crlf"),
+        # lines that end without a '\n' share a window with the next one
+        pytest.param("arg(a).\rarg(b).\n%x\ratt(b,a).\rarg(a).\n", id="cr"),
+        pytest.param("arg(a).\u2028arg(b).\n\u2028att(b,a).\u2028arg(a).", id="u2028"),
+        pytest.param("arg(a).% arg(x). att(a,y).\narg(b).%c\u2029att(a,b).% d\r\n", id="comments"),
+        pytest.param("att(a,b).\natt(b,a).\narg(a).\narg(b).\n", id="attack-first"),
+        pytest.param("arg(a).\narg(b).\n\narg(c). att(a,b)\n", id="malformed"),
+        pytest.param("arg(a).\rarg(b).\r\narg(a).\narg(b).", id="duplicates"),
+        pytest.param("arg(a).\natt(a,a).\n% x\natt(a,b).\n", id="undeclared"),
+    ],
+)
+def test_windowed_lexer_at_every_window_edge(text):
+    # every window size moves the first edge to every line break in turn
+    expected = _reference_outcome(text)
+    for window in range(1, len(text) + 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW", window)
+            assert _outcome(parse_apx, text) == expected, window
+        assert _lexed(text, window) == _lexed(text, len(text) + 1), window
+
+
+def test_windowed_lexer_reports_an_error_past_the_first_window():
+    text = "".join(f"arg(a{i}).\n" for i in range(10_000)) + "att(a1,a2)\n"
+    assert text.index("att") > formats._WINDOW
+    with pytest.raises(ParseError) as excinfo:
+        parse_apx(text)
+    assert (excinfo.value.line, excinfo.value.message) == (10_001, "malformed fact near 'att(a1,a2)'")
+    diagnostics = []
+    f = parse_apx(text.replace("att(a1,a2)", "arg(a1). att(a2,a1)."), diagnostics)
+    assert diagnostics == [ParseDiagnostic(10_001, "duplicate argument 'a1'")]
+    assert f.attacks == ((2, 1),)
 
 
 def test_parsers_look_build_up_at_call_time(monkeypatch):

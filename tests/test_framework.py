@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stabenum.formats import write_apx, write_tgf
 from stabenum.framework import Framework, UnknownArgument, build, initial_partition
 
 import reference_apx
@@ -35,9 +36,10 @@ def test_self_attack():
 
 def test_adjacency_is_sorted_and_deduplicated():
     f = build(["a", "b", "c"], [("c", "a"), ("b", "a"), ("b", "a"), ("a", "b")])
-    assert f.attacks == ((2, 0), (1, 0), (0, 1))
-    assert f.pred[0] == (1, 2)
-    assert f.succ[1] == (0,)
+    # by attacker, then target, whatever the declaration order
+    assert f.attacks == ((0, 1), (1, 0), (2, 0))
+    assert f.pred == ((1, 2), (0,), ())
+    assert f.succ == ((1,), (0,), (0,))
 
 
 def test_duplicate_names_warn_and_collapse():
@@ -100,7 +102,7 @@ def test_initial_partition_partitions_arguments(f):
 
 # ---------------------------------------------------------------- build's bulk path
 # build must give what the item-by-item build it replaced
-# (tests/reference_apx.py) gives: framework, warnings and error, with the
+# (tests/reference_apx.py) gives: names, attacks, warnings and error, with the
 # adjacency that the reference derives item by item.
 
 
@@ -110,7 +112,7 @@ def _build_outcome(build_fn, names, attacks, adjacency=attrgetter("succ", "pred"
         f = build_fn(names, attacks, lambda i, message: warnings.append((i, message)))
     except UnknownArgument as exc:
         return exc.message, exc.index, warnings
-    return f, adjacency(f), warnings
+    return (f.names, f.attacks), adjacency(f), warnings
 
 
 @st.composite
@@ -201,18 +203,32 @@ def test_framework_is_a_value_of_its_names_and_attacks(h1):
 
 def test_framework_derives_its_adjacency_and_drops_repeated_attacks():
     f = Framework(("a", "b"), ((1, 0), (0, 1), (1, 0), (1, 1)))
-    assert f.attacks == ((1, 0), (0, 1), (1, 1))
+    assert f.attacks == ((0, 1), (1, 0), (1, 1))
     assert f.succ == ((1,), (0, 1))
     assert f.pred == ((1,), (0, 1))
     assert f.self_loop == (False, True)
+    assert "attacks" not in Framework.__slots__
+
+
+def test_framework_equality_ignores_the_declaration_order():
+    names = ["a", "b", "c"]
+    first = build(names, [("a", "b"), ("c", "a"), ("b", "a"), ("b", "b"), ("a", "b")])
+    second = build(names, [("b", "b"), ("b", "a"), ("b", "a"), ("a", "b"), ("c", "a")])
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert write_apx(first) == write_apx(second)
+    assert write_tgf(first) == write_tgf(second)
+    assert first.attacks == second.attacks == ((0, 1), (1, 0), (1, 1), (2, 0))
 
 
 @given(frameworks())
 def test_framework_of_a_frameworks_names_and_attacks_is_that_framework(f):
     g = Framework(f.names, f.attacks)
+    assert g == f
     assert (g.names, g.attacks, g.succ, g.pred, g.self_loop) == (
         f.names, f.attacks, f.succ, f.pred, f.self_loop
     )
+    assert list(g.attacks) == sorted(set(g.attacks))
     # sorted and duplicate-free, as cuts and the engines assume
     assert (g.succ, g.pred, g.self_loop) == reference_apx.adjacency(f)
 

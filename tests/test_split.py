@@ -115,9 +115,10 @@ def test_restrict_is_the_framework_of_a_range_between_cuts(loops):
         for i, start in enumerate(edges):
             for end in edges[i + 1:]:
                 g = split.restrict(f, start, end)
-                # restrict lists the attacks by attacker, then target
-                inside = [(f.names[x], f.names[y]) for x, y in sorted(f.attacks)
+                inside = [(f.names[x], f.names[y]) for x, y in f.attacks
                           if start <= x < end and start <= y < end]
+                # equal whatever order the attacks are declared in
+                rng.shuffle(inside)
                 expected = build(f.names[start:end], inside)
                 assert g == expected
                 assert (g.succ, g.pred, g.self_loop) == (
