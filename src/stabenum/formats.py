@@ -11,24 +11,33 @@ Supported formats:
 
 Both ignore blank lines.  Lines end where ``str.splitlines`` ends them: at
 LF, CRLF, and also a lone CR, VT, FF, FS/GS/RS, NEL, U+2028 and U+2029; the
-same boundaries end an apx ``%`` comment.  The parsers only lex:
-:func:`~stabenum.framework.build` drops repeated declarations, which become
-warnings, and rejects attacks on undeclared arguments.  Errors and warnings
-carry a 1-based line number.  apx is lexed by one regex, a window of at
-least ``_WINDOW`` characters at a time, each ending just after a ``\n``;
-its line numbers are worked out only when a diagnostic is reported.
+same boundaries end an apx ``%`` comment.  The parsers only lex and number
+each name when they first meet it, keeping the numbers of the declarations,
+the attackers and the targets: :func:`~stabenum.framework.assemble` drops
+repeated declarations, which become warnings, rejects attacks on undeclared
+arguments and indexes the arguments in declaration order.  Errors and
+warnings carry a 1-based line number.  apx is lexed by one regex, a window
+of at least ``_WINDOW`` characters at a time, each ending just after a
+``\n``; a window's tokens and strings are freed once its names are
+numbered, and its line numbers are worked out only when a diagnostic is
+reported.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from functools import cache
 from io import TextIOBase
-from itertools import accumulate
+from itertools import accumulate, count
+from operator import itemgetter
 
-from .framework import Framework, Frozen, UnknownArgument, build
+from .framework import Framework, Frozen, UnknownArgument
+# the parsers look ``build`` up here at call time, so the benchmark's tracer
+# can time the assembler by wrapping this name
+from .framework import assemble as build
 
 
 class ParseDiagnostic(Frozen):
@@ -70,18 +79,21 @@ _APX = re.compile(
 # the least number of characters in one window of the apx lexer
 _WINDOW = 1 << 16
 _TOKEN = re.compile(_NAME)
+# the columns of an apx token; each is '' where the token is not of its kind
+_ARG, _ATTACKER, _TARGET = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 def _build(
-    names: list[str],
-    attacks: list[tuple[str, str]],
+    lexed: tuple[list[str], list[int], list[int], list[int]],
     fact_lines: Callable[[], tuple[Sequence[int], Sequence[int]]],
     diagnostics: list[ParseDiagnostic] | None,
 ) -> Framework:
-    """Call :func:`build` and map the positions it reports to line numbers.
+    """Call :func:`~stabenum.framework.assemble`, here named ``build``, on
+    ``lexed``: the names by number, the declared numbers, the attackers and
+    the targets.  Map the positions it reports to line numbers.
 
-    ``fact_lines()`` gives the 1-based lines of ``names`` and of ``attacks``;
-    it is called only for a diagnostic.
+    ``fact_lines()`` gives the 1-based lines of the declarations and of the
+    attacks; it is called only for a diagnostic.
     """
 
     def warn(i: int, message: str) -> None:
@@ -89,20 +101,26 @@ def _build(
             diagnostics.append(ParseDiagnostic(fact_lines()[0][i], message))
 
     try:
-        return build(names, attacks, warn)
+        return build(*lexed, warn)
     except UnknownArgument as exc:
         exc.line = fact_lines()[1][exc.index]
         raise
 
 
-def _lex_apx(text: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """The names of the arg facts and the pairs of the att facts, in order.
+def _lex_apx(text: str) -> tuple[list[str], list[int], list[int], list[int]]:
+    """The names by number, then the numbers of the arg facts, of the
+    attackers and of the targets of the att facts, each in text order.
 
-    The text is lexed a window at a time, so only one window's tokens are
-    held at once.
+    A name is numbered when it is first met; within a window, the names of
+    the arg facts are met before the endpoints of the att facts.  The text
+    is lexed a window at a time, so only one window's tokens are held at
+    once, and each name is kept once.
     """
-    names: list[str] = []
-    attacks: list[tuple[str, str]] = []
+    number = defaultdict(count().__next__)
+    get = number.__getitem__
+    declared: list[int] = []
+    attackers: list[int] = []
+    targets: list[int] = []
     start, end = 0, len(text)
     while start < end:
         # a window ends just after a '\n', which no fact or comment spans
@@ -116,10 +134,11 @@ def _lex_apx(text: str) -> tuple[list[str], list[tuple[str, str]]]:
             # line, or pos would be inside one
             near = text[pos:pos + 20].splitlines()[0].split("%", 1)[0]
             raise ParseError(f"malformed fact near {near!r}", lineno)
-        names += [name for name, _, _, _ in tokens if name]
-        attacks += [(a, b) for _, a, b, _ in tokens if a]
+        declared += map(get, filter(None, map(_ARG, tokens)))
+        attackers += map(get, filter(None, map(_ATTACKER, tokens)))
+        targets += map(get, filter(None, map(_TARGET, tokens)))
         start = stop
-    return names, attacks
+    return list(number), declared, attackers, targets
 
 
 def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
@@ -128,7 +147,7 @@ def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
     Attacks may precede the declarations they refer to.  The text is lexed
     in windows; line numbers are worked out only for a diagnostic.
     """
-    names, attacks = _lex_apx(text)
+    lexed = _lex_apx(text)
 
     @cache
     def fact_lines() -> tuple[list[int], list[int]]:
@@ -143,14 +162,16 @@ def parse_apx(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
                 attack_lines.append(bisect_right(starts, m.start()))
         return name_lines, attack_lines
 
-    return _build(names, attacks, fact_lines, diagnostics)
+    return _build(lexed, fact_lines, diagnostics)
 
 
 def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Framework:
     """Parse trivial graph format into a framework."""
-    names: list[str] = []
+    number = defaultdict(count().__next__)
+    declared: list[int] = []
     name_lines: list[int] = []
-    attacks: list[tuple[str, str]] = []
+    attackers: list[int] = []
+    targets: list[int] = []
     attack_lines: list[int] = []
     lines = text.splitlines()
     in_edges = False
@@ -168,7 +189,7 @@ def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
             node = tokens[0]
             if not _TOKEN.fullmatch(node):
                 raise ParseError(f"invalid node id {node!r}", lineno)
-            names.append(node)
+            declared.append(number[node])
             name_lines.append(lineno)
             # remaining tokens form a display label and are ignored
         else:
@@ -177,11 +198,13 @@ def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
             for endpoint in tokens:
                 if not _TOKEN.fullmatch(endpoint):
                     raise ParseError(f"invalid node id {endpoint!r}", lineno)
-            attacks.append((tokens[0], tokens[1]))
+            attackers.append(number[tokens[0]])
+            targets.append(number[tokens[1]])
             attack_lines.append(lineno)
     if not in_edges:
         raise MissingSeparator("missing '#' separator", len(lines) + 1)
-    return _build(names, attacks, lambda: (name_lines, attack_lines), diagnostics)
+    lexed = list(number), declared, attackers, targets
+    return _build(lexed, lambda: (name_lines, attack_lines), diagnostics)
 
 
 def write_apx(f: Framework) -> str:

@@ -5,14 +5,17 @@ Also home to :class:`Frozen`, the base of the package's immutable values.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Iterable
+from itertools import count
 
 
 class UnknownArgument(ValueError):
     """An attack endpoint that was never declared.
 
     ``index`` is the position of the attack among those given to
-    :func:`build`; a parser sets ``line`` to the attack's 1-based line.
+    :func:`assemble` or :func:`build`; a parser sets ``line`` to the
+    attack's 1-based line.
     """
 
     def __init__(self, message: str, index: int) -> None:
@@ -89,17 +92,28 @@ class Framework(Frozen):
 
     def __init__(self, names: tuple[str, ...], attacks: Iterable[tuple[int, int]]) -> None:
         """Each attack is a pair of indices in ``range(len(names))``, in any
-        order; a repeated attack counts once."""
+        order; a repeated attack counts once.
+
+        Each attack is filed once, under its target, and each ``pred[y]`` is
+        sorted and its repeats dropped; walking the targets in ascending
+        order then gives every ``succ[x]`` sorted and repeat-free, with no
+        second sort."""
         n = len(names)
-        succ: list = [[] for _ in range(n)]
         pred: list = [[] for _ in range(n)]
+        # each target's own int, not a new one from enumerate: where the
+        # attacks use one int object per argument, as the parsers' do, succ
+        # and pred then share it
+        target: list = [None] * n
         for x, y in attacks:
-            succ[x].append(y)
             pred[y].append(x)
-        _canonical(succ)
+            target[y] = y
         _canonical(pred)
-        self._fill(names, tuple(succ), tuple(pred),
-                   tuple([x in targets for x, targets in enumerate(succ)]))
+        succ: list = [[] for _ in range(n)]
+        for y, attackers in zip(target, pred):
+            for x in attackers:
+                succ[x].append(y)
+        self._fill(names, tuple(map(tuple, succ)), tuple(pred),
+                   tuple([x in attackers for x, attackers in enumerate(pred)]))
 
     @property
     def n(self) -> int:
@@ -122,6 +136,52 @@ def _canonical(lists: list) -> None:
         lists[i] = tuple(items)
 
 
+def assemble(
+    names: list[str],
+    declared: list[int],
+    attackers: list[int],
+    targets: list[int],
+    warn: Callable[[int, str], None] | None = None,
+) -> Framework:
+    """Assemble a :class:`Framework` from numbered names.
+
+    ``names[k]`` is the name numbered ``k``, and each number occurs in
+    ``declared``, the numbers of the declarations in their order, or in an
+    attack; attack ``i`` is ``(attackers[i], targets[i])``.  Repeated
+    declarations are dropped, and :class:`Framework` counts a repeated
+    attack once; ``warn(i, message)`` is told about each repeated name,
+    ``i`` being its position in ``declared``.  The first attack with an
+    undeclared endpoint raises :class:`UnknownArgument`.  Arguments are
+    indexed in declaration order, so the attacks are renumbered only where
+    the names were numbered in another order.
+    """
+    order = dict.fromkeys(declared)
+    if warn is not None and len(order) < len(declared):
+        seen: set[int] = set()
+        for i, k in enumerate(declared):
+            if k in seen:
+                warn(i, f"duplicate argument {names[k]!r}")
+            seen.add(k)
+    if len(order) < len(names):
+        i, a, b = next(
+            (i, a, b) for i, (a, b) in enumerate(zip(attackers, targets))
+            if a not in order or b not in order
+        )
+        endpoint = a if a not in order else b
+        raise UnknownArgument(
+            f"attack ({names[a]},{names[b]}) uses undeclared argument {names[endpoint]!r}", i
+        )
+    ordered = list(order)
+    if ordered != list(range(len(ordered))):
+        index = [0] * len(ordered)
+        for i, k in enumerate(ordered):
+            index[k] = i
+        names = [names[k] for k in ordered]
+        attackers = list(map(index.__getitem__, attackers))
+        targets = list(map(index.__getitem__, targets))
+    return Framework(tuple(names), zip(attackers, targets))
+
+
 def build(
     names: Iterable[str],
     attacks: Iterable[tuple[str, str]],
@@ -129,36 +189,20 @@ def build(
 ) -> Framework:
     """Assemble a :class:`Framework` from declared names and name pairs.
 
-    Repeated declarations are dropped, and :class:`Framework` counts a
+    Numbers each name where it first occurs and calls :func:`assemble`:
+    repeated declarations are dropped, and :class:`Framework` counts a
     repeated attack once; ``warn(i, message)`` is told about each repeated
     name, ``i`` being its position in ``names``.  The first attack with an
-    endpoint missing from ``names`` raises :class:`UnknownArgument`.  The
-    endpoints are resolved into one list of attackers and one of targets,
-    which the constructor reads pairwise, so no pair is made per attack.
+    endpoint missing from ``names`` raises :class:`UnknownArgument`.
     """
-    names = list(names)
-    ordered = tuple(dict.fromkeys(names))
-    index = dict(zip(ordered, range(len(ordered))))
-    if warn is not None and len(ordered) < len(names):
-        seen: set[str] = set()
-        for i, name in enumerate(names):
-            if name in seen:
-                warn(i, f"duplicate argument {name!r}")
-            seen.add(name)
-
-    attacks = list(attacks)
-    try:
-        attackers = [index[a] for a, _ in attacks]
-        targets = [index[b] for _, b in attacks]
-    except KeyError:
-        i, a, b = next(
-            (i, a, b) for i, (a, b) in enumerate(attacks) if a not in index or b not in index
-        )
-        endpoint = a if a not in index else b
-        raise UnknownArgument(
-            f"attack ({a},{b}) uses undeclared argument {endpoint!r}", i
-        ) from None
-    return Framework(ordered, zip(attackers, targets))
+    number = defaultdict(count().__next__)
+    declared = list(map(number.__getitem__, names))
+    attackers: list[int] = []
+    targets: list[int] = []
+    for a, b in attacks:
+        attackers.append(number[a])
+        targets.append(number[b])
+    return assemble(list(number), declared, attackers, targets, warn)
 
 
 def attacked_by(f: Framework, args: Iterable[int]) -> frozenset[int]:

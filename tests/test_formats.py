@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import io
+import random
 import tracemalloc
 from operator import attrgetter
 
@@ -309,6 +310,24 @@ def test_parse_apx_stops_lexing_at_the_first_malformed_fact():
     assert peak < len(text) // 10
 
 
+def test_parse_apx_holds_little_beyond_the_framework():
+    # ingest keeps no tuple or string per attack: each window's tokens are
+    # numbered and freed, so the peak stays near what the framework holds
+    rng = random.Random(0)
+    n = 5000
+    attacks = [f"att(a{rng.randrange(n)},a{rng.randrange(n)}).\n" for _ in range(20_000)]
+    rng.shuffle(attacks)
+    text = "".join(f"arg(a{i}).\n" for i in range(n)) + "".join(attacks)
+    tracemalloc.start()
+    try:
+        f = parse_apx(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.n == n
+    assert peak < 2.5 * held, (peak, held)
+
+
 def test_parse_apx_comment_ends_at_a_line_break_that_is_not_lf():
     f = parse_apx("% arg(x).\rarg(a).% arg(y).\u2029arg(b).")
     assert f.names == ("a", "b")
@@ -322,14 +341,20 @@ def test_parse_apx_comment_ends_at_a_line_break_that_is_not_lf():
 
 
 def _lexed(text, window):
-    """``formats._lex_apx(text)`` with windows of ``window`` characters, or
-    the :class:`ParseError`'s message and line."""
+    """The declared names and the attacks as name pairs that
+    ``formats._lex_apx(text)`` numbers with windows of ``window``
+    characters, or the :class:`ParseError`'s message and line.  Where a name
+    is first met depends on the windows, so its number may too."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_WINDOW", window)
         try:
-            return formats._lex_apx(text)
+            names, declared, attackers, targets = formats._lex_apx(text)
         except ParseError as exc:
             return exc.message, exc.line
+    # each name is numbered once, and every number is used
+    assert len(set(names)) == len(names)
+    assert set(declared) | set(attackers) | set(targets) == set(range(len(names)))
+    return [names[k] for k in declared], [(names[a], names[b]) for a, b in zip(attackers, targets)]
 
 
 @settings(max_examples=400)
@@ -354,6 +379,10 @@ def test_windowed_lexer_matches_the_reference(text, window):
         pytest.param("arg(a).\narg(b).\n\narg(c). att(a,b)\n", id="malformed"),
         pytest.param("arg(a).\rarg(b).\r\narg(a).\narg(b).", id="duplicates"),
         pytest.param("arg(a).\natt(a,a).\n% x\natt(a,b).\n", id="undeclared"),
+        # b is met before its declaration, so small windows number the names
+        # in another order than the declarations, which the build undoes
+        pytest.param("att(b,a).\narg(a).\narg(b).\narg(a).\natt(b,c).\n", id="renumbered-undeclared"),
+        pytest.param("att(b,a).\natt(c,b).\narg(a).\narg(c). arg(b).\narg(a).\n", id="renumbered"),
     ],
 )
 def test_windowed_lexer_at_every_window_edge(text):
@@ -381,10 +410,11 @@ def test_windowed_lexer_reports_an_error_past_the_first_window():
 def test_parsers_look_build_up_at_call_time(monkeypatch):
     # the benchmark's tracer times framework.build by wrapping formats.build
     calls = []
+    original = formats.build
 
     def counted_build(*args):
         calls.append(args[0])
-        return build(*args)
+        return original(*args)
 
     monkeypatch.setattr(formats, "build", counted_build)
     parse_apx("arg(a).")
