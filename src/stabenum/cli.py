@@ -134,9 +134,7 @@ def execute(config: RunConfig, f: Framework) -> int:
                 if trace is not None:
                     import json  # only traces need it; a cold start skips the import
 
-                    tracer = label_enum.Tracer(
-                        f, lambda event: trace.write(json.dumps(event) + "\n")
-                    )
+                    tracer = label_enum.Tracer(lambda event: trace.write(json.dumps(event) + "\n"))
                     probe = tracer if probe is NO_PROBE else FanOut(tracer, probe)
                 # a permutation by construction, so the split takes it unchecked
                 order = STRATEGIES[config.order](f)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .framework import Framework, Frozen, build
+from .framework import Framework, Frozen
 
 
 class UnknownFamily(ValueError):
@@ -40,15 +40,14 @@ def random_af(spec: GenSpec) -> Framework:
     a complete, replayable description of the instance.
     """
     rng = random.Random(spec.seed)
-    names = argument_names(spec.n)
     attacks = []
     for x in range(spec.n):
         for y in range(spec.n):
             if x == y and not spec.allow_self_loops:
                 continue
             if rng.random() < spec.p:
-                attacks.append((names[x], names[y]))
-    return build(names, attacks)
+                attacks.append((x, y))
+    return Framework(tuple(argument_names(spec.n)), attacks)
 
 
 def family(name: str, n: int) -> Framework:
@@ -60,21 +59,14 @@ def family(name: str, n: int) -> Framework:
     """
     if n < 1:
         raise ValueError(f"family size must be positive, got {n}")
-    names = argument_names(n)
     if name == "cycle":
-        attacks = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        attacks = [(i, (i + 1) % n) for i in range(n)]
     elif name == "chain":
-        attacks = [(names[i], names[i + 1]) for i in range(n - 1)]
+        attacks = [(i, i + 1) for i in range(n - 1)]
     elif name == "two_cliques":
         half = (n + 1) // 2
         groups = (range(half), range(half, n))
-        attacks = [
-            (names[x], names[y])
-            for group in groups
-            for x in group
-            for y in group
-            if x != y
-        ]
+        attacks = [(x, y) for group in groups for x in group for y in group if x != y]
     else:
         raise UnknownFamily(f"unknown family {name!r}")
-    return build(names, attacks)
+    return Framework(tuple(argument_names(n)), attacks)

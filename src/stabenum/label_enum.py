@@ -43,8 +43,10 @@ it takes the generic comparison rather than CPython's fast path for exact
 ints.  The triggers read an argument's counter first and its label only
 when the counter is 0 or 1, since no trigger fires at a higher count; for
 the same reason a new must-out argument's own triggers are fired only when
-its counter is below 2.  A probe is called only when one is passed in: the
-engine tests ``probe is not NO_PROBE`` before each event.
+its counter is below 2.  The state holds the framework and the search's one
+probe, both set by :func:`initial_state`, so every other function takes the
+state and what it acts on; the engine tests ``probe is not NO_PROBE``
+before each event.
 
 Assigning an argument in relabels its neighbourhood by a plan built on its
 first assignment and kept for the rest of the search (it depends on the
@@ -81,9 +83,9 @@ class UnbalancedRollback(RuntimeError):
 
 
 class LabelState:
-    """Mutable search state: labels, counters, worklist, undo trail.
+    """Mutable search state of framework ``f``: labels, counters, worklist, undo trail.
 
-    ``succ`` is ``f.succ``; the worklist and the trail start empty.
+    ``probe`` sees the search's events; the worklist and the trail start empty.
     ``heap`` holds every queued argument, plus stale entries of arguments
     that have left ``gamma``; they are dropped when they reach the top.
     ``mu`` holds :class:`Label` members only, which the engine tests by
@@ -101,12 +103,15 @@ class LabelState:
     dead end.  States compare by identity.
     """
 
-    __slots__ = ("mu", "pi", "gamma", "succ", "trail", "checkpoints", "heap", "plans", "dead_root")
+    __slots__ = ("f", "probe", "mu", "pi", "gamma", "trail", "checkpoints", "heap", "plans",
+                 "dead_root")
 
-    def __init__(self, mu: list[Label], pi: list[int], succ: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, f: Framework, mu: list[Label], pi: list[int],
+                 probe: Probe = NO_PROBE) -> None:
+        self.f = f
+        self.probe = probe
         self.mu = mu
         self.pi = pi
-        self.succ = succ
         self.gamma: set[int] = set()
         self.heap: list[int] = []
         self.trail: list[int] = []
@@ -131,7 +136,7 @@ class LabelState:
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
         mark, queued = self.checkpoints.pop()
-        mu, pi, succ, trail = self.mu, self.pi, self.succ, self.trail
+        mu, pi, succ, trail = self.mu, self.pi, self.f.succ, self.trail
         for x in reversed(trail[mark:]):
             if x < 0:
                 mu[~x] = MUST_OUT
@@ -160,8 +165,9 @@ class LabelState:
         return frozenset(self.members(BLANK))
 
 
-def trace_event(state: LabelState, f: Framework, state_id: int) -> dict:
+def trace_event(state: LabelState, state_id: int) -> dict:
     """Snapshot of (labels, counters, worklist) at one search state, as JSON."""
+    f = state.f
     return {
         "state_id": state_id,
         "mu": {f.names[x]: state.mu[x].json_name() for x in range(f.n)},
@@ -176,29 +182,28 @@ class Tracer(Probe):
     Events are numbered from 1 in the order they occur.
     """
 
-    def __init__(self, f: Framework, sink: Callable[[dict], None]) -> None:
-        self.f = f
+    def __init__(self, sink: Callable[[dict], None]) -> None:
         self.sink = sink
         self.events = 0
 
     def state(self, state: LabelState) -> None:
         self.events += 1
-        self.sink(trace_event(state, self.f, self.events))
+        self.sink(trace_event(state, self.events))
 
     dead_end = state
 
 
-def _force(state: LabelState, x: int, probe: Probe) -> None:
+def _force(state: LabelState, x: int) -> None:
     """Enqueue an argument that must join every completion of this branch."""
     gamma = state.gamma
     if x not in gamma:
         gamma.add(x)
         heappush(state.heap, x)
-        if probe is not NO_PROBE:
-            probe.force(state, x)
+        if state.probe is not NO_PROBE:
+            state.probe.force(state, x)
 
 
-def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> bool:
+def _fire(state: LabelState, ts: Iterable[int]) -> bool:
     """Apply the three counter triggers to each argument of ``ts`` in turn;
     False at the first dead end, which kills the branch.  This is the only
     definition of the triggers."""
@@ -211,16 +216,16 @@ def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> b
         label = mu[t]
         if label is BLANK:
             if left == 0:
-                _force(state, t, probe)
+                _force(state, t)
         elif label is MUST_OUT:
             if left == 0:
-                if probe is not NO_PROBE:
-                    probe.dead_end(state)
+                if state.probe is not NO_PROBE:
+                    state.probe.dead_end(state)
                 return False
             # one blank attacker left, which must join
-            for y in f.pred[t]:
+            for y in state.f.pred[t]:
                 if mu[y] is BLANK:
-                    _force(state, y, probe)
+                    _force(state, y)
                     break
     return True
 
@@ -228,9 +233,10 @@ def _fire(state: LabelState, f: Framework, ts: Iterable[int], probe: Probe) -> b
 def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
     """Label self-attackers must-out, everything else blank; seed the worklist.
 
-    Every argument fires its triggers.  A self-attacker without another
-    attacker makes the root a dead end: ``probe`` is told, the remaining
-    triggers are skipped and the state's ``dead_root`` is True.
+    ``probe`` is the one probe of the search on the state.  Every argument
+    fires its triggers.  A self-attacker without another attacker makes the
+    root a dead end: ``probe`` is told, the remaining triggers are skipped
+    and the state's ``dead_root`` is True.
     """
     mu = [BLANK] * f.n
     # pi counts the attackers that are not self-attackers
@@ -240,10 +246,10 @@ def initial_state(f: Framework, probe: Probe = NO_PROBE) -> LabelState:
         mu[y] = MUST_OUT
         for t in f.succ[y]:
             pi[t] -= 1
-    state = LabelState(mu, pi, f.succ)
+    state = LabelState(f, mu, pi, probe)
     # firing at the root only queues arguments, and only self-attackers and
     # arguments without a counted attacker can fire there
-    state.dead_root = not _fire(state, f, sorted({*loops, *_positions(pi, 0)}), probe)
+    state.dead_root = not _fire(state, sorted({*loops, *_positions(pi, 0)}))
     return state
 
 
@@ -258,7 +264,7 @@ def _positions(values: list[int], value: int) -> list[int]:
         return found
 
 
-def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: Probe) -> bool:
+def _leave_blank(state: LabelState, x: int, label: Label) -> bool:
     """Relabel blank ``x`` as ``label`` and decrement its targets' counters,
     then fire the triggers of ``x`` if it became must-out and those of its
     targets; False kills the branch, never halfway through the relabelling.
@@ -269,16 +275,16 @@ def _leave_blank(state: LabelState, f: Framework, x: int, label: Label, probe: P
     state.trail.append(x)
     state.mu[x] = label
     pi = state.pi
-    targets = f.succ[x]
+    targets = state.f.succ[x]
     for t in targets:
         pi[t] -= 1
     # _fire's rule: no trigger fires on two or more blank attackers
-    if label is MUST_OUT and pi[x] < 2 and not _fire(state, f, (x,), probe):
+    if label is MUST_OUT and pi[x] < 2 and not _fire(state, (x,)):
         return False
-    return _fire(state, f, targets, probe)
+    return _fire(state, targets)
 
 
-def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) -> bool:
+def assign_in(state: LabelState, q: int) -> bool:
     """Label blank ``q`` in and relabel its neighborhood; False kills the branch.
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
@@ -289,7 +295,7 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
     :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
     a blank argument to out or must-out; each also updates ``mu`` in place.
     """
-    mu, trail = state.mu, state.trail
+    f, mu, trail = state.f, state.mu, state.trail
     state.gamma.discard(q)
     trail.append(q)
     mu[q] = IN
@@ -303,28 +309,28 @@ def assign_in(state: LabelState, f: Framework, q: int, probe: Probe = NO_PROBE) 
             trail.append(~z)
             mu[z] = OUT
     for z, label in plan:
-        if mu[z] is BLANK and not _leave_blank(state, f, z, label, probe):
+        if mu[z] is BLANK and not _leave_blank(state, z, label):
             return False
     return True
 
 
-def drain(state: LabelState, f: Framework, probe: Probe = NO_PROBE) -> bool:
+def drain(state: LabelState) -> bool:
     """Assign every queued argument, lowest index first; False kills the branch.
 
     A popped argument is always blank, which is asserted: a queued argument
     that loses its blank label ends the branch inside the :func:`assign_in`
     or :func:`mark_must_out` that relabels it, since its own trigger or
-    that of the must-out argument it was forced for fires there.  ``probe``
-    sees the state after each assignment that keeps the branch alive.
+    that of the must-out argument it was forced for fires there.  The
+    state's probe sees it after each assignment that keeps the branch alive.
     """
-    heap, gamma = state.heap, state.gamma
+    heap, gamma, probe = state.heap, state.gamma, state.probe
     while gamma:
         # the lowest queued argument: stale heap entries are dropped on top
         while heap[0] not in gamma:
             heappop(heap)
         q = heap[0]
-        assert state.mu[q] is BLANK, f"stale worklist entry {f.names[q]}"
-        if not assign_in(state, f, q, probe):
+        assert state.mu[q] is BLANK, f"stale worklist entry {state.f.names[q]}"
+        if not assign_in(state, q):
             return False
         if probe is not NO_PROBE:
             probe.state(state)
@@ -336,12 +342,12 @@ def is_solution(state: LabelState) -> bool:
     return BLANK not in state.mu and MUST_OUT not in state.mu
 
 
-def mark_must_out(state: LabelState, f: Framework, x: int, probe: Probe = NO_PROBE) -> bool:
+def mark_must_out(state: LabelState, x: int) -> bool:
     """Exclude blank ``x``, decrement its targets' counters and fire the triggers.
 
     Triggered forcings accumulate in ``gamma``; False kills the branch.
     """
-    return _leave_blank(state, f, x, MUST_OUT, probe)
+    return _leave_blank(state, x, MUST_OUT)
 
 
 def extensions(
@@ -373,7 +379,7 @@ def extensions(
     if probing:
         probe.state(state)
     while True:
-        if drain(state, f, probe):
+        if drain(state):
             mu = state.mu
             while cursor < n and mu[order[cursor]] is not BLANK:
                 cursor += 1
@@ -394,7 +400,7 @@ def extensions(
             return
         x, cursor = pending.pop()
         state.rollback()
-        excluded = mark_must_out(state, f, x, probe)
+        excluded = mark_must_out(state, x)
         assert excluded, f"excluding branch argument {f.names[x]} ended its branch"
         if probing:
             probe.state(state)

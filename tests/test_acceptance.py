@@ -56,7 +56,7 @@ def test_criterion_1_golden_run():
 def test_criterion_2_trace_reproduction():
     h1 = h1_framework()
     events: list = []
-    label_enum.enumerate_extensions(h1, probe=label_enum.Tracer(h1, events.append))
+    label_enum.enumerate_extensions(h1, probe=label_enum.Tracer(events.append))
     got = [(e["mu"], e["pi"], e["gamma"]) for e in events]
     # positions of the golden snapshots inside the full event stream
     expected = {0: T1, 2: T3, 5: T5, 6: T6, 7: T7, 8: T8, 9: T9, 10: T10}
@@ -265,12 +265,12 @@ def test_criterion_7_backtracking_integrity():
                 state.checkpoint()
                 depth += 1
             if move < 0.6:
-                if not assign_in(state, f, x):
+                if not assign_in(state, x):
                     break
-                if not drain(state, f):
+                if not drain(state):
                     break
             else:
-                if not mark_must_out(state, f, x):
+                if not mark_must_out(state, x):
                     break
         while depth:
             expected = frames.pop()

@@ -228,7 +228,10 @@ _MALFORMED = (
 @st.composite
 def apx_texts(draw):
     """Texts built from facts, comments, every line break and Unicode
-    whitespace, with a malformed piece in about a third of them."""
+    whitespace, with a malformed piece in about a third of them.  In about
+    half of them every att endpoint is declared at the end, in a drawn
+    order, so att facts that come first parse, and windows that meet a
+    name in an att fact before its declaration number it out of order."""
     piece = st.one_of(
         _APX_NAMES.map(lambda a: f"arg({a})."),
         st.tuples(_APX_NAMES, _APX_NAMES).map(lambda ab: f"att({ab[0]},{ab[1]})."),
@@ -237,6 +240,10 @@ def apx_texts(draw):
         st.text(alphabet="ag(r).,%xyz \t\xa0\u3000\x1f", max_size=12).map(lambda c: "%" + c),
     )
     pieces = draw(st.lists(piece, max_size=24))
+    if draw(st.booleans()):
+        endpoints = {a for p in pieces if p.startswith("att(") for a in p[4:-2].split(",")}
+        pieces.append(draw(st.sampled_from(_LINE_BREAKS)))
+        pieces += [f"arg({a})." for a in draw(st.permutations(sorted(endpoints)))]
     if draw(st.integers(0, 2)) == 0:
         pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(_MALFORMED)))
     return "".join(pieces)

@@ -105,25 +105,25 @@ def test_assign_in_first_branch(h1):
     state = initial_state(h1)
     state.gamma_add(h1.names.index("a"))
     assert tables(state, h1) == T2
-    assert assign_in(state, h1, h1.names.index("a"))
+    assert assign_in(state, h1.names.index("a"))
     assert tables(state, h1) == T3
 
 
 def test_assign_in_dead_end(h1):
     # reach the last golden state, where the remaining branch collapses
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.names.index("a"))
-    assert mark_must_out(state, h1, h1.names.index("b"))
+    assert mark_must_out(state, h1.names.index("a"))
+    assert mark_must_out(state, h1.names.index("b"))
     assert tables(state, h1) == T9
     state.gamma.discard(h1.names.index("d"))
-    assert not assign_in(state, h1, h1.names.index("d"))
+    assert not assign_in(state, h1.names.index("d"))
     assert tables(state, h1) == T10
 
 
 def test_assign_in_isolated_argument():
     f = build(["x", "y"], [])
     state = initial_state(f)
-    assert assign_in(state, f, 0)
+    assert assign_in(state, 0)
     assert state.mu == [IN, BLANK]
     assert state.pi == [0, 0]
 
@@ -131,7 +131,7 @@ def test_assign_in_isolated_argument():
 def test_drain_to_first_solution(h1):
     state = initial_state(h1)
     state.gamma_add(h1.names.index("a"))
-    assert drain(state, h1)
+    assert drain(state)
     assert tables(state, h1) == T4
     assert is_solution(state)
     assert state.members(IN) == tuple(sorted(ids(h1, "acd")))
@@ -139,32 +139,32 @@ def test_drain_to_first_solution(h1):
 
 def test_drain_empty_worklist_is_fixpoint(h1):
     state = initial_state(h1)
-    assert drain(state, h1)
+    assert drain(state)
     assert tables(state, h1) == T1
 
 
 def test_drain_second_solution(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.names.index("a"))
+    assert mark_must_out(state, h1.names.index("a"))
     assert tables(state, h1) == T5
     state.gamma_add(h1.names.index("b"))
     assert tables(state, h1) == T6
-    assert drain(state, h1)
+    assert drain(state)
     assert tables(state, h1) == T8
     assert is_solution(state)
     assert state.members(IN) == tuple(sorted(ids(h1, "be")))
 
 
 def test_drain_intermediate_round(h1):
-    state = initial_state(h1)
-    state.gamma_add(h1.names.index("b"))
     rounds = []
 
     class Rounds(Probe):
         def state(self, state):
             rounds.append(tables(state, h1))
 
-    assert drain(state, h1, Rounds())
+    state = initial_state(h1, Rounds())
+    state.gamma_add(h1.names.index("b"))
+    assert drain(state)
     assert rounds[0] == T7
     assert rounds[1] == T8
 
@@ -172,32 +172,32 @@ def test_drain_intermediate_round(h1):
 def test_is_solution_examples(h1):
     first = initial_state(h1)
     first.gamma_add(h1.names.index("a"))
-    drain(first, h1)
+    drain(first)
     assert is_solution(first)
     assert first.members(IN) == tuple(sorted(ids(h1, "acd")))
 
     second = initial_state(h1)
-    mark_must_out(second, h1, h1.names.index("a"))
+    mark_must_out(second, h1.names.index("a"))
     second.gamma_add(h1.names.index("b"))
-    drain(second, h1)
+    drain(second)
     assert is_solution(second)
     assert second.members(IN) == tuple(sorted(ids(h1, "be")))
 
     third = initial_state(h1)
-    mark_must_out(third, h1, h1.names.index("a"))
+    mark_must_out(third, h1.names.index("a"))
     assert not is_solution(third)  # blanks remain
 
 
 def test_mark_must_out_first_backtrack(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.names.index("a"))
+    assert mark_must_out(state, h1.names.index("a"))
     assert tables(state, h1) == T5
 
 
 def test_mark_must_out_triggers_force(h1):
     state = initial_state(h1)
-    assert mark_must_out(state, h1, h1.names.index("a"))
-    assert mark_must_out(state, h1, h1.names.index("b"))
+    assert mark_must_out(state, h1.names.index("a"))
+    assert mark_must_out(state, h1.names.index("b"))
     assert tables(state, h1) == T9
 
 
@@ -205,7 +205,7 @@ def test_mark_must_out_without_targets():
     f = build(["x", "y"], [("y", "x")])
     state = initial_state(f)
     # x has no targets: only the label flips
-    assert mark_must_out(state, f, 0)
+    assert mark_must_out(state, 0)
     assert state.mu == [MUST_OUT, BLANK]
     assert state.pi == [1, 0]
     assert state.gamma == {1}  # x's only attacker must now join
@@ -216,7 +216,7 @@ def test_checkpoint_rollback_restores_branch_state(h1):
     snapshot = tables(state, h1)
     state.checkpoint()
     state.gamma_add(h1.names.index("a"))
-    drain(state, h1)
+    drain(state)
     assert tables(state, h1) == T4
     state.rollback()
     assert tables(state, h1) == snapshot == T1
@@ -232,11 +232,11 @@ def test_checkpoint_rollback_noop(h1):
 
 def test_checkpoint_rollback_second_branch(h1):
     state = initial_state(h1)
-    mark_must_out(state, h1, h1.names.index("a"))
+    mark_must_out(state, h1.names.index("a"))
     assert tables(state, h1) == T5
     state.checkpoint()
     state.gamma_add(h1.names.index("b"))
-    drain(state, h1)
+    drain(state)
     assert tables(state, h1) == T8
     state.rollback()
     assert tables(state, h1) == T5
@@ -255,13 +255,13 @@ def test_rollback_restores_argument_zero_from_out(excluded_before_checkpoint):
     a, b = 0, 1
     state = initial_state(f)
     if excluded_before_checkpoint:
-        assert mark_must_out(state, f, a)
+        assert mark_must_out(state, a)
     snapshot = (list(state.mu), list(state.pi), set(state.gamma))
     state.checkpoint()
     if not excluded_before_checkpoint:
-        assert mark_must_out(state, f, a)
+        assert mark_must_out(state, a)
     mark = state.checkpoints[-1][0]
-    assert assign_in(state, f, b)
+    assert assign_in(state, b)
     assert state.mu[a] is OUT
     # blank records on both sides of argument 0's must-out -> out record
     records = state.trail[mark:]
@@ -324,9 +324,9 @@ def test_initial_state_self_attacker_forces_last_attacker():
 
 def test_mark_must_out_dead_without_blank_attacker():
     f = build(["x", "y"], [("x", "y")])
-    state = initial_state(f)
     probe = Recorder()
-    assert not mark_must_out(state, f, 0, probe)
+    state = initial_state(f, probe)
+    assert not mark_must_out(state, 0)
     assert probe.dead == [(frozenset(), frozenset({1}))]
 
 
@@ -338,7 +338,7 @@ def test_enumerate_limit(h1):
 
 def test_golden_trace_stream(h1):
     events = []
-    probe = FanOut(Tracer(h1, events.append), Checker(h1, check_label_state))
+    probe = FanOut(Tracer(events.append), Checker(h1, check_label_state))
     enumerate_extensions(h1, probe=probe)
     got = [(e["mu"], e["pi"], e["gamma"]) for e in events]
     intermediate = (
@@ -352,7 +352,7 @@ def test_golden_trace_stream(h1):
 
 def test_trace_event_round_trips_to_dict(h1):
     state = initial_state(h1)
-    event = trace_event(state, h1, 1)
+    event = trace_event(state, 1)
     assert list(event) == ["state_id", "mu", "pi", "gamma"]
     assert event["state_id"] == 1
     assert event["mu"] == ALL_BLANK
@@ -366,14 +366,47 @@ def test_stale_worklist_entry_is_dead_end():
     # attacker left, its own trigger kills the branch before drain could pop
     # the stale queue entry.
     f = build(["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")])
-    state = initial_state(f)
     probe = Recorder()
-    assert not assign_in(state, f, 0, probe)
+    state = initial_state(f, probe)
+    assert not assign_in(state, 0)
     assert state.gamma == {2}
     assert state.mu[2] == MUST_OUT
     dead = [chosen for chosen, blank in probe.dead]
     assert dead == [frozenset({0})]
     assert enumerate_extensions(f) == 0
+
+
+def _first_extension_then_last_dead_end(state):
+    """Drives the fixture's search by hand: the in-branch on a to its
+    extension, then, rolled back, a and b out to the dead end on d."""
+    a, b = 0, 1
+    state.checkpoint()
+    assert assign_in(state, a) and drain(state)
+    state.rollback()
+    assert mark_must_out(state, a) and mark_must_out(state, b)
+    assert not drain(state)
+
+
+def test_the_probe_is_set_once_per_search(monkeypatch, h1):
+    # only initial_state takes a probe: a state made without one calls no
+    # probe method, and a state made with one sends it every event
+    events = []
+
+    def record(name):
+        def event(self, state, *args):
+            events.append((self, name, *[state.f.names[x] for x in args]))
+        return event
+
+    for name in ("state", "branch", "force", "dead_end"):
+        monkeypatch.setattr(Probe, name, record(name))
+    _first_extension_then_last_dead_end(initial_state(h1))
+    assert events == []
+    probe = Probe()
+    _first_extension_then_last_dead_end(initial_state(h1, probe))
+    assert events == [
+        (probe, "force", "d"), (probe, "force", "c"), (probe, "state"), (probe, "state"),
+        (probe, "force", "d"), (probe, "force", "f"), (probe, "force", "c"), (probe, "dead_end"),
+    ]
 
 
 class Ordered(Probe):
@@ -394,9 +427,9 @@ class Ordered(Probe):
 def test_fire_ignores_two_or_more_blank_attackers(label, left):
     # x's three blank attackers; no trigger fires at two or more of them left
     f = build(["x", "p", "q", "r"], [("p", "x"), ("q", "x"), ("r", "x")])
-    state = LabelState([label, BLANK, BLANK, BLANK], [left, 0, 0, 0], f.succ)
     probe = Ordered()
-    assert _fire(state, f, [0], probe)
+    state = LabelState(f, [label, BLANK, BLANK, BLANK], [left, 0, 0, 0], probe)
+    assert _fire(state, [0])
     assert probe.events == [] and state.gamma == set() and state.heap == []
 
 
@@ -404,9 +437,9 @@ def test_fire_stops_at_the_dead_end():
     # targets in pass order: blank t0 with no blank attacker, must-out t1 with
     # one (y), must-out t2 with none, blank t3 with none
     f = build(["t0", "t1", "t2", "t3", "y"], [("y", "t1")])
-    state = LabelState([BLANK, MUST_OUT, MUST_OUT, BLANK, BLANK], [0, 1, 0, 0, 0], f.succ)
     probe = Ordered()
-    assert not _fire(state, f, [0, 1, 2, 3], probe)
+    state = LabelState(f, [BLANK, MUST_OUT, MUST_OUT, BLANK, BLANK], [0, 1, 0, 0, 0], probe)
+    assert not _fire(state, [0, 1, 2, 3])
     # forces of earlier targets come first, in target order; t3 is never forced
     assert probe.events == [("force", 0), ("force", 4), ("dead_end",)]
     assert state.gamma == {0, 4}
@@ -415,7 +448,7 @@ def test_fire_stops_at_the_dead_end():
 def test_counters_stay_non_negative(h1):
     state = initial_state(h1)
     state.gamma_add(h1.names.index("a"))
-    drain(state, h1)
+    drain(state)
     assert all(value >= 0 for value in state.pi)
 
 
@@ -474,10 +507,10 @@ def test_rollback_is_identity_on_random_runs():
                 break
             x = rng.choice(blanks)
             if rng.random() < 0.5:
-                if not assign_in(state, f, x):
+                if not assign_in(state, x):
                     break
             else:
-                if not mark_must_out(state, f, x):
+                if not mark_must_out(state, x):
                     break
         state.rollback()
         assert (list(state.mu), list(state.pi), set(state.gamma)) == snapshot
@@ -530,7 +563,7 @@ def test_invariant_checker_accepts_boundary_states(h1):
     state = initial_state(h1)
     check_label_state(h1, state)
     state.gamma_add(h1.names.index("a"))
-    drain(state, h1)
+    drain(state)
     check_label_state(h1, state)
 
 
@@ -564,7 +597,7 @@ def test_invariant_checker_rejects_stale_counter(h1):
     # the counter of an out argument, which traces show, is checked too
     state = initial_state(h1)
     state.gamma_add(h1.names.index("a"))
-    drain(state, h1)
+    drain(state)
     check_label_state(h1, state)
     assert state.mu[h1.names.index("b")].json_name() == "out"
     state.pi[h1.names.index("b")] -= 1
