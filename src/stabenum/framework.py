@@ -97,7 +97,8 @@ class Framework(Frozen):
         Each attack is filed once, under its target, and each ``pred[y]`` is
         sorted and its repeats dropped; walking the targets in ascending
         order then gives every ``succ[x]`` sorted and repeat-free, with no
-        second sort."""
+        second sort.  Each ``succ[x]`` then becomes a tuple in place, so the
+        lists and the tuples are not held at once."""
         n = len(names)
         pred: list = [[] for _ in range(n)]
         # each target's own int, not a new one from enumerate: where the
@@ -112,7 +113,9 @@ class Framework(Frozen):
         for y, attackers in zip(target, pred):
             for x in attackers:
                 succ[x].append(y)
-        self._fill(names, tuple(map(tuple, succ)), tuple(pred),
+        for x, targets in enumerate(succ):
+            succ[x] = tuple(targets)
+        self._fill(names, tuple(succ), tuple(pred),
                    tuple([x in attackers for x, attackers in enumerate(pred)]))
 
     @property
@@ -153,7 +156,8 @@ def assemble(
     ``i`` being its position in ``declared``.  The first attack with an
     undeclared endpoint raises :class:`UnknownArgument`.  Arguments are
     indexed in declaration order, so the attacks are renumbered only where
-    the names were numbered in another order.
+    the names were numbered in another order.  The declaration order is
+    dropped before the framework is built.
     """
     order = dict.fromkeys(declared)
     if warn is not None and len(order) < len(declared):
@@ -179,6 +183,7 @@ def assemble(
         names = [names[k] for k in ordered]
         attackers = list(map(index.__getitem__, attackers))
         targets = list(map(index.__getitem__, targets))
+    del order, ordered
     return Framework(tuple(names), zip(attackers, targets))
 
 

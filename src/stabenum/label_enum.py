@@ -48,10 +48,11 @@ probe, both set by :func:`initial_state`, so every other function takes the
 state and what it acts on; the engine tests ``probe is not NO_PROBE``
 before each event.
 
-Assigning an argument in relabels its neighbourhood by a plan built on its
-first assignment and kept for the rest of the search (it depends on the
-framework alone), writes each label in place, and fires the triggers of each
-relabelled argument's targets in one pass.
+Assigning an argument in relabels its neighbourhood by a plan, writes each
+label in place, and fires the triggers of each relabelled argument's targets
+in one pass.  A plan depends on the framework alone; one built under an open
+checkpoint is kept for the rest of the search, since only such an
+assignment can be undone and made again.
 """
 
 from __future__ import annotations
@@ -93,12 +94,14 @@ class LabelState:
     :func:`assign_in` and :func:`_leave_blank` relabel: ``x`` when ``x``
     leaves blank and ``~x`` when must-out ``x`` becomes out (``~0`` is -1,
     where ``-0`` would read as a blank record); a checkpoint also saves
-    ``gamma``.  ``plans[q]`` is ``None`` until :func:`assign_in` first
-    assigns ``q``, then ``q``'s relabelling plan: a list of
-    ``(neighbour, label)`` pairs, its neighbours in index order, each with
-    ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Plans
-    depend on the framework alone, so they are never journalled and survive
-    rollback; together they hold at most O(n + m) entries per search.
+    ``gamma``.  ``plans[q]`` is ``None`` until :func:`assign_in` assigns
+    ``q`` under an open checkpoint (no other assignment is ever undone),
+    then ``q``'s relabelling plan: a list of ``(neighbour, label)`` pairs,
+    its neighbours in index order, each with ``OUT`` if ``q`` attacks it
+    and ``MUST_OUT`` otherwise, built by concatenation unless ``q``'s
+    attackers and targets interleave.  Plans depend on the framework alone,
+    so they are never journalled and survive rollback; together they hold
+    at most O(n + m) entries per search.
     ``dead_root`` is True when the triggers of :func:`initial_state` met a
     dead end.  States compare by identity.
     """
@@ -289,7 +292,8 @@ def assign_in(state: LabelState, q: int) -> bool:
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
     (targets) or must-out (attackers) through :func:`_leave_blank`, in
-    index order, following ``q``'s plan (built here on first use).  The
+    index order, following ``q``'s plan: the kept one, or one built here
+    and kept only if a checkpoint is open (see :class:`LabelState`).  The
     state is left as-is on a dead end so the caller can roll it back.
     The trail is written at three sites only, two here and one in
     :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
@@ -301,9 +305,20 @@ def assign_in(state: LabelState, q: int) -> bool:
     mu[q] = IN
     plan = state.plans[q]
     if plan is None:
-        labels = dict.fromkeys(f.pred[q], MUST_OUT)
-        labels.update(dict.fromkeys(f.succ[q], OUT))
-        plan = state.plans[q] = sorted(labels.items())
+        attackers, targets = f.pred[q], f.succ[q]
+        if attackers == targets:
+            plan = [(z, OUT) for z in targets]
+        elif not attackers or not targets or attackers[-1] < targets[0]:
+            plan = [(z, MUST_OUT) for z in attackers] + [(z, OUT) for z in targets]
+        elif targets[-1] < attackers[0]:
+            plan = [(z, OUT) for z in targets] + [(z, MUST_OUT) for z in attackers]
+        else:
+            labels = dict.fromkeys(attackers, MUST_OUT)
+            labels.update(dict.fromkeys(targets, OUT))
+            plan = sorted(labels.items())
+        # an assignment outside every checkpoint is never undone
+        if state.checkpoints:
+            state.plans[q] = plan
     for z in f.succ[q]:
         if mu[z] is MUST_OUT:
             trail.append(~z)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -42,6 +45,24 @@ def pairs_framework(n: int) -> Framework:
     """``n`` arguments in n/2 disjoint mutually attacking pairs; search depth n/2."""
     names = [f"a{i}" for i in range(n)]
     return build(names, [(names[i], names[i ^ 1]) for i in range(n)])
+
+
+@contextmanager
+def traced() -> Iterator[None]:
+    """Trace allocations with :mod:`tracemalloc` while the block runs.
+
+    The interpreter's free lists of small tuples are emptied first: CPython
+    keeps up to 2,000 freed tuples of each length below 20 and hands them
+    out again with no allocation that tracemalloc sees, so the tests run
+    before would otherwise shrink the sizes measured here.
+    """
+    spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2500)]
+    tracemalloc.start()
+    try:
+        yield
+    finally:
+        tracemalloc.stop()
+        del spare
 
 
 def ids(f: Framework, names: str) -> frozenset[int]:

@@ -25,7 +25,7 @@ from stabenum.formats import (
 from stabenum.framework import UnknownArgument, build
 
 import reference_apx
-from conftest import DATA_DIR, frameworks, h1_framework, ids
+from conftest import DATA_DIR, frameworks, h1_framework, ids, traced
 
 
 def test_parse_apx_single_line():
@@ -325,14 +325,11 @@ def test_parse_apx_holds_little_beyond_the_framework():
     attacks = [f"att(a{rng.randrange(n)},a{rng.randrange(n)}).\n" for _ in range(20_000)]
     rng.shuffle(attacks)
     text = "".join(f"arg(a{i}).\n" for i in range(n)) + "".join(attacks)
-    tracemalloc.start()
-    try:
+    with traced():
         f = parse_apx(text)
         held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert f.n == n
-    assert peak < 2.5 * held, (peak, held)
+    assert peak < 1.9 * held, (peak, held)
 
 
 def test_parse_apx_comment_ends_at_a_line_break_that_is_not_lf():

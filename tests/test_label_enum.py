@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -22,6 +23,7 @@ from stabenum.label_enum import (
     assign_in,
     drain,
     enumerate_extensions,
+    extensions,
     initial_state,
     is_solution,
     mark_must_out,
@@ -31,7 +33,7 @@ from stabenum.oracle import enumerate_bruteforce
 from stabenum.strategies import STRATEGIES, FanOut, Probe, SearchStats
 from stabenum.generators import GenSpec, random_af
 
-from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pairs_framework, pi_table
+from conftest import Recorder, frameworks, gamma_list, ids, mu_table, pairs_framework, pi_table, traced
 
 ALL_BLANK = dict.fromkeys("abcdef", "blank")
 
@@ -459,29 +461,86 @@ def test_agrees_with_bruteforce(f):
     assert sorted(found) == enumerate_bruteforce(f)
 
 
-class LastState(Probe):
-    """Keeps the state of the last state boundary: the search's one ``LabelState``."""
-
-    state_seen = None
-
-    def state(self, state):
-        self.state_seen = state
+def reference_plan(f, q):
+    # q's neighbours ascending: OUT for each target of q, an attacker of q
+    # included, and MUST_OUT for each argument that only attacks q
+    labels = {x: MUST_OUT for x, y in f.attacks if y == q}
+    labels.update({y: OUT for x, y in f.attacks if x == q})
+    return sorted(labels.items())
 
 
 @given(frameworks(max_args=8))
 def test_relabelling_plans(f):
-    # a plan lists q's neighbours ascending: OUT for each target of q, an
-    # attacker of q included, and MUST_OUT for each argument that only attacks q
-    probe = LastState()
-    enumerate_extensions(f, probe=probe)
-    plans = probe.state_seen.plans if probe.state_seen is not None else []
-    for q, plan in enumerate(plans):
-        if plan is None:
-            continue
-        targets = {y for x, y in f.attacks if x == q}
-        attackers = {x for x, y in f.attacks if y == q}
-        assert [z for z, _ in plan] == sorted(targets | attackers)
-        assert all(label is (OUT if z in targets else MUST_OUT) for z, label in plan)
+    # each blank argument of the root, assigned under a checkpoint, keeps the
+    # plan that the dict-and-sort reference gives, on a dead end too
+    state = initial_state(f)
+    for q in state.members(BLANK):
+        state.checkpoint()
+        assign_in(state, q)
+        assert state.plans[q] == reference_plan(f, q)
+        state.rollback()
+
+
+@pytest.mark.parametrize("attacks, plan", [
+    ("ac bc cd ce", "a:must_out b:must_out d:out e:out"),  # attackers below targets
+    ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets
+    ("ac ca cd dc", "a:out d:out"),  # the same arguments attack c and are attacked by it
+    ("ac cb bc ce dc", "a:must_out b:out d:must_out e:out"),  # interleaved
+    ("ca cd", "a:out d:out"),  # no attackers
+    ("ac dc", "a:must_out d:must_out"),  # no targets
+], ids=["attackers_below", "attackers_above", "same", "interleaved", "no_attackers", "no_targets"])
+def test_relabelling_plan_of_each_construction(attacks, plan):
+    f = build("abcde", [tuple(pair) for pair in attacks.split()])
+    q = f.names.index("c")
+    state = initial_state(f)
+    state.checkpoint()
+    assign_in(state, q)
+    assert [f"{f.names[z]}:{label.json_name()}" for z, label in state.plans[q]] == plan.split()
+
+
+@given(frameworks(max_args=8))
+def test_root_assignments_keep_no_plan(f):
+    # no checkpoint is open at the root, so its assignments are never undone
+    state = initial_state(f)
+    if not state.dead_root:
+        drain(state)
+    assert state.plans == [None] * f.n
+
+
+def test_grounded_root_keeps_no_plan():
+    f = build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    state = initial_state(f)
+    assert drain(state)
+    assert state.members(IN) == (0, 2)
+    assert state.plans == [None] * 4
+
+
+def test_plan_made_under_a_checkpoint_survives_rollback():
+    f = build("abc", [("a", "b"), ("b", "a"), ("b", "c")])
+    state = initial_state(f)
+    state.checkpoint()
+    assert assign_in(state, 1)
+    plan = state.plans[1]
+    assert plan == reference_plan(f, 1)
+    state.rollback()
+    assert assign_in(state, 1)
+    assert state.plans[1] is plan
+
+
+def test_root_search_holds_little_beyond_the_framework():
+    # a grounded DAG is settled at the root, where no relabelling plan is
+    # kept, so the search's peak stays near what the framework holds
+    rng = random.Random(1)
+    n = 5000
+    with traced():
+        names = [f"a{i}" for i in range(n)]
+        f = build(names, [(names[x], names[y]) for y in range(n) for x in rng.sample(range(y), min(y, 4))])
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        found = list(extensions(f, range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    assert len(found) == 1
+    assert peak < 1.5 * held, (peak, held)
 
 
 @given(frameworks(max_args=7))
