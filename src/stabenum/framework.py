@@ -156,8 +156,7 @@ def assemble(
     ``i`` being its position in ``declared``.  The first attack with an
     undeclared endpoint raises :class:`UnknownArgument`.  Arguments are
     indexed in declaration order, so the attacks are renumbered only where
-    the names were numbered in another order.  The declaration order is
-    dropped before the framework is built.
+    the names were numbered in another order.
     """
     order = dict.fromkeys(declared)
     if warn is not None and len(order) < len(declared):
@@ -183,6 +182,8 @@ def assemble(
         names = [names[k] for k in ordered]
         attackers = list(map(index.__getitem__, attackers))
         targets = list(map(index.__getitem__, targets))
+        del index
+    # freed here, not on return, so they do not add to the constructor's peak
     del order, ordered
     return Framework(tuple(names), zip(attackers, targets))
 

@@ -98,10 +98,11 @@ class LabelState:
     ``q`` under an open checkpoint (no other assignment is ever undone),
     then ``q``'s relabelling plan: a list of ``(neighbour, label)`` pairs,
     its neighbours in index order, each with ``OUT`` if ``q`` attacks it
-    and ``MUST_OUT`` otherwise, built by concatenation unless ``q``'s
-    attackers and targets interleave.  Plans depend on the framework alone,
-    so they are never journalled and survive rollback; together they hold
-    at most O(n + m) entries per search.
+    and ``MUST_OUT`` otherwise.  It is built in order, with no sort, where
+    every attacker of ``q`` precedes every target of ``q`` or the two are
+    the same, and merged and sorted otherwise.  Plans depend on the
+    framework alone, so they are never journalled and survive rollback;
+    together they hold at most O(n + m) entries per search.
     ``dead_root`` is True when the triggers of :func:`initial_state` met a
     dead end.  States compare by identity.
     """
@@ -310,8 +311,6 @@ def assign_in(state: LabelState, q: int) -> bool:
             plan = [(z, OUT) for z in targets]
         elif not attackers or not targets or attackers[-1] < targets[0]:
             plan = [(z, MUST_OUT) for z in attackers] + [(z, OUT) for z in targets]
-        elif targets[-1] < attackers[0]:
-            plan = [(z, OUT) for z in targets] + [(z, MUST_OUT) for z in attackers]
         else:
             labels = dict.fromkeys(attackers, MUST_OUT)
             labels.update(dict.fromkeys(targets, OUT))

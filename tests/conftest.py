@@ -54,7 +54,10 @@ def traced() -> Iterator[None]:
     The interpreter's free lists of small tuples are emptied first: CPython
     keeps up to 2,000 freed tuples of each length below 20 and hands them
     out again with no allocation that tracemalloc sees, so the tests run
-    before would otherwise shrink the sizes measured here.
+    before would otherwise shrink the sizes measured here.  The 20 and the
+    2,500 below stand for CPython's ``PyTuple_MAXSAVESIZE`` (20) and, with
+    room to spare, its ``PyTuple_MAXFREELIST`` (2,000), the same in 3.10
+    through 3.13; the bounds that the callers assert were measured on 3.11.
     """
     spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2500)]
     tracemalloc.start()

@@ -483,7 +483,7 @@ def test_relabelling_plans(f):
 
 @pytest.mark.parametrize("attacks, plan", [
     ("ac bc cd ce", "a:must_out b:must_out d:out e:out"),  # attackers below targets
-    ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets
+    ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets: merged and sorted
     ("ac ca cd dc", "a:out d:out"),  # the same arguments attack c and are attacked by it
     ("ac cb bc ce dc", "a:must_out b:out d:must_out e:out"),  # interleaved
     ("ca cd", "a:out d:out"),  # no attackers
