@@ -31,11 +31,12 @@ the order recognises a leaf.
 Only labels are journalled on a trail, one int per relabelling: ``x`` when
 ``x`` leaves blank, ``~x`` (that is, ``-x - 1``) when must-out ``x`` becomes
 out, so the sign tells the old label even for argument 0, where ``-0`` could
-not.  A checkpoint also saves the worklist, empty at every checkpoint the
-search opens.  Backtracking replays the journal backwards, re-deriving the
-counters, and restores the saved worklist, so ``mu``, ``pi`` and ``gamma``
-return exactly.  The search runs on an explicit stack, not bounded by
-Python's recursion limit.
+not.  A checkpoint marks the trail and saves the worklist only if it is
+not empty; the search opens each of its checkpoints on an empty worklist,
+so it keeps the mark alone.  Backtracking replays the journal backwards,
+re-deriving the counters, and restores the worklist, so ``mu``, ``pi`` and
+``gamma`` return exactly.  The search runs on an explicit stack, not bounded
+by Python's recursion limit.
 
 ``mu`` holds :class:`Label` members only, and the hot paths test them by
 identity (``mu[x] is BLANK``): ``Label`` is an ``IntEnum``, so ``==`` on
@@ -48,11 +49,14 @@ probe, both set by :func:`initial_state`, so every other function takes the
 state and what it acts on; the engine tests ``probe is not NO_PROBE``
 before each event.
 
-Assigning an argument in relabels its neighbourhood by a plan, writes each
-label in place, and fires the triggers of each relabelled argument's targets
-in one pass.  A plan depends on the framework alone; one built under an open
-checkpoint is kept for the rest of the search, since only such an
-assignment can be undone and made again.
+Assigning an argument in relabels its neighbourhood in index order, writes
+each label in place, and fires the triggers of each relabelled argument's
+targets in one pass.  Where every attacker precedes every target, or the
+two are the same, or one is empty, index order is the attackers and then
+the targets, read straight from the framework.  Otherwise the neighbours
+are merged and sorted into a plan, which depends on the framework alone;
+one built under an open checkpoint is kept for the rest of the search,
+since only such an assignment can be undone and made again.
 """
 
 from __future__ import annotations
@@ -93,16 +97,19 @@ class LabelState:
     identity.  The trail journals one int per relabelling, written where
     :func:`assign_in` and :func:`_leave_blank` relabel: ``x`` when ``x``
     leaves blank and ``~x`` when must-out ``x`` becomes out (``~0`` is -1,
-    where ``-0`` would read as a blank record); a checkpoint also saves
-    ``gamma``.  ``plans[q]`` is ``None`` until :func:`assign_in` assigns
-    ``q`` under an open checkpoint (no other assignment is ever undone),
-    then ``q``'s relabelling plan: a list of ``(neighbour, label)`` pairs,
-    its neighbours in index order, each with ``OUT`` if ``q`` attacks it
-    and ``MUST_OUT`` otherwise.  It is built in order, with no sort, where
-    every attacker of ``q`` precedes every target of ``q`` or the two are
-    the same, and merged and sorted otherwise.  Plans depend on the
-    framework alone, so they are never journalled and survive rollback;
-    together they hold at most O(n + m) entries per search.
+    where ``-0`` would read as a blank record).  A checkpoint is the
+    trail's length, or ``(length, sorted gamma)`` where ``gamma`` is not
+    empty, so one opened on an empty worklist allocates no list.
+    ``plans[q]`` is ``None`` until :func:`assign_in` assigns ``q`` under an
+    open checkpoint (no other assignment is ever undone) and ``q``'s
+    attackers and targets interleave in index order, or its targets all
+    precede its attackers; it is then ``q``'s relabelling plan: a list of
+    ``(neighbour, label)`` pairs, its neighbours merged and sorted, each
+    with ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Every
+    other neighbourhood is relabelled from ``f.pred[q]`` and ``f.succ[q]``
+    and gets no plan.  Plans depend on the framework alone, so they are
+    never journalled and survive rollback; together they hold at most
+    O(n + m) entries per search.
     ``dead_root`` is True when the triggers of :func:`initial_state` met a
     dead end.  States compare by identity.
     """
@@ -119,7 +126,9 @@ class LabelState:
         self.gamma: set[int] = set()
         self.heap: list[int] = []
         self.trail: list[int] = []
-        self.checkpoints: list[tuple[int, list[int]]] = []
+        # a trail mark, with the sorted worklist where it was not empty
+        self.checkpoints: list[int | tuple[int, list[int]]] = []
+        # merged relabelling plans, kept under an open checkpoint
         self.plans: list[list[tuple[int, Label]] | None] = [None] * len(mu)
         self.dead_root = False
 
@@ -132,14 +141,16 @@ class LabelState:
         return True
 
     def checkpoint(self) -> None:
-        """Mark the trail and save the worklist, in O(|gamma|)."""
-        self.checkpoints.append((len(self.trail), sorted(self.gamma)))
+        """Mark the trail and save the worklist if it is not empty, in O(|gamma|)."""
+        mark = len(self.trail)
+        self.checkpoints.append((mark, sorted(self.gamma)) if self.gamma else mark)
 
     def rollback(self) -> None:
         """Undo every change since the matching checkpoint, re-deriving ``pi``."""
         if not self.checkpoints:
             raise UnbalancedRollback("rollback without a matching checkpoint")
-        mark, queued = self.checkpoints.pop()
+        saved = self.checkpoints.pop()
+        mark, queued = (saved, None) if type(saved) is int else saved
         mu, pi, succ, trail = self.mu, self.pi, self.f.succ, self.trail
         for x in reversed(trail[mark:]):
             if x < 0:
@@ -152,8 +163,12 @@ class LabelState:
                     pi[t] += 1
             mu[x] = BLANK
         del trail[mark:]
-        self.gamma = set(queued)
-        self.heap = queued  # sorted, so a heap
+        if queued is None:
+            self.gamma.clear()
+            self.heap.clear()
+        else:
+            self.gamma = set(queued)
+            self.heap = queued  # sorted, so a heap
 
     def members(self, label: Label) -> tuple[int, ...]:
         return tuple([x for x, y in enumerate(self.mu) if y is label])
@@ -293,9 +308,11 @@ def assign_in(state: LabelState, q: int) -> bool:
 
     Must-out targets of ``q`` become out.  Blank neighbors become out
     (targets) or must-out (attackers) through :func:`_leave_blank`, in
-    index order, following ``q``'s plan: the kept one, or one built here
-    and kept only if a checkpoint is open (see :class:`LabelState`).  The
-    state is left as-is on a dead end so the caller can roll it back.
+    index order: the attackers and then the targets where that is index
+    order (the targets alone where the two are the same), and otherwise
+    ``q``'s merged plan, the kept one or one built here and kept only if a
+    checkpoint is open (see :class:`LabelState`).  The state is left as-is
+    on a dead end so the caller can roll it back.
     The trail is written at three sites only, two here and one in
     :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
     a blank argument to out or must-out; each also updates ``mu`` in place.
@@ -304,24 +321,32 @@ def assign_in(state: LabelState, q: int) -> bool:
     state.gamma.discard(q)
     trail.append(q)
     mu[q] = IN
-    plan = state.plans[q]
-    if plan is None:
-        attackers, targets = f.pred[q], f.succ[q]
-        if attackers == targets:
-            plan = [(z, OUT) for z in targets]
-        elif not attackers or not targets or attackers[-1] < targets[0]:
-            plan = [(z, MUST_OUT) for z in attackers] + [(z, OUT) for z in targets]
-        else:
-            labels = dict.fromkeys(attackers, MUST_OUT)
-            labels.update(dict.fromkeys(targets, OUT))
-            plan = sorted(labels.items())
-        # an assignment outside every checkpoint is never undone
-        if state.checkpoints:
-            state.plans[q] = plan
-    for z in f.succ[q]:
+    targets = f.succ[q]
+    for z in targets:
         if mu[z] is MUST_OUT:
             trail.append(~z)
             mu[z] = OUT
+    plan = state.plans[q]
+    if plan is None:
+        attackers = f.pred[q]
+        if attackers == targets:
+            # every attacker is a target, so it becomes out
+            attackers = ()
+        if not attackers or not targets or attackers[-1] < targets[0]:
+            # index order is the attackers, then the targets: no plan is needed
+            for z in attackers:
+                if mu[z] is BLANK and not _leave_blank(state, z, MUST_OUT):
+                    return False
+            for z in targets:
+                if mu[z] is BLANK and not _leave_blank(state, z, OUT):
+                    return False
+            return True
+        labels = dict.fromkeys(attackers, MUST_OUT)
+        labels.update(dict.fromkeys(targets, OUT))
+        plan = sorted(labels.items())
+        # an assignment outside every checkpoint is never undone
+        if state.checkpoints:
+            state.plans[q] = plan
     for z, label in plan:
         if mu[z] is BLANK and not _leave_blank(state, z, label):
             return False
@@ -385,10 +410,10 @@ def extensions(
     # every argument before the cursor in ``order`` is labelled; labels only
     # leave blank along a path, so the cursor only moves forward on it
     cursor = 0
-    # (x, cursor) per branch on x whose out-branch is still to try; its
-    # checkpoint, opened before the in-branch, also undoes the out-branches
-    # of every deeper branch
-    pending: list[tuple[int, int]] = []
+    # the cursor of each branch, on order[cursor], whose out-branch is still
+    # to try; its checkpoint, opened before the in-branch, also undoes the
+    # out-branches of every deeper branch
+    pending: list[int] = []
     probing = probe is not NO_PROBE
     if probing:
         probe.state(state)
@@ -401,7 +426,7 @@ def extensions(
                 x = order[cursor]
                 if probing:
                     probe.branch(state, x)
-                pending.append((x, cursor))
+                pending.append(cursor)
                 state.checkpoint()
                 state.gamma_add(x)
                 if probing:
@@ -412,7 +437,8 @@ def extensions(
         # backtrack to the deepest branch whose out-branch is still to try
         if not pending:
             return
-        x, cursor = pending.pop()
+        cursor = pending.pop()
+        x = order[cursor]
         state.rollback()
         excluded = mark_must_out(state, x)
         assert excluded, f"excluding branch argument {f.names[x]} ended its branch"

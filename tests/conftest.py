@@ -57,7 +57,8 @@ def traced() -> Iterator[None]:
     before would otherwise shrink the sizes measured here.  The 20 and the
     2,500 below stand for CPython's ``PyTuple_MAXSAVESIZE`` (20) and, with
     room to spare, its ``PyTuple_MAXFREELIST`` (2,000), the same in 3.10
-    through 3.13; the bounds that the callers assert were measured on 3.11.
+    through 3.13; the bounds that the callers assert hold on 3.10, 3.11 and
+    3.13.
     """
     spare = [tuple(range(k)) for k in range(1, 20) for _ in range(2500)]
     tracemalloc.start()

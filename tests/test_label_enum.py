@@ -259,10 +259,10 @@ def test_rollback_restores_argument_zero_from_out(excluded_before_checkpoint):
     if excluded_before_checkpoint:
         assert mark_must_out(state, a)
     snapshot = (list(state.mu), list(state.pi), set(state.gamma))
+    mark = len(state.trail)
     state.checkpoint()
     if not excluded_before_checkpoint:
         assert mark_must_out(state, a)
-    mark = state.checkpoints[-1][0]
     assert assign_in(state, b)
     assert state.mu[a] is OUT
     # blank records on both sides of argument 0's must-out -> out record
@@ -273,6 +273,28 @@ def test_rollback_restores_argument_zero_from_out(excluded_before_checkpoint):
     assert (state.mu, state.pi, state.gamma) == snapshot
     assert len(state.trail) == mark and state.heap == sorted(snapshot[2])
     assert all(type(y) is Label for y in state.mu)
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["empty_worklist", "queued_worklist"])
+def test_rollback_restores_the_worklist_of_its_checkpoint(h1, queued):
+    # a checkpoint opened on an empty worklist keeps the trail mark alone; the
+    # worklist queued after it, here c and d, must still be dropped
+    state = initial_state(h1)
+    a = h1.names.index("a")
+    if queued:
+        state.gamma_add(a)
+    snapshot = tables(state, h1)
+    assert snapshot == (T2 if queued else T1)
+    state.checkpoint()
+    if not queued:
+        state.gamma_add(a)
+    assert assign_in(state, a)
+    assert tables(state, h1) == T3
+    state.rollback()
+    assert tables(state, h1) == snapshot and state.heap == sorted(state.gamma)
+    state.gamma_add(a)
+    assert drain(state)
+    assert tables(state, h1) == T4
 
 
 def test_unbalanced_rollback(h1):
@@ -469,33 +491,64 @@ def reference_plan(f, q):
     return sorted(labels.items())
 
 
+def merged(f, q):
+    # True where q's attackers and targets interleave in index order (or all
+    # targets precede all attackers), the only neighbourhoods that get a plan
+    attackers, targets = f.pred[q], f.succ[q]
+    return bool(attackers and targets and attackers != targets and attackers[-1] >= targets[0])
+
+
+def relabelled(state, f, q):
+    """Assign blank ``q`` in under a checkpoint; whether the branch lives,
+    and the blank neighbours it relabelled, in trail order, each with its
+    new label.  The trail must first record ``q`` and its must-out targets."""
+    before, mark = list(state.mu), len(state.trail)
+    state.checkpoint()
+    alive = assign_in(state, q)
+    records = state.trail[mark:]
+    outs = [~z for z in f.succ[q] if before[z] is MUST_OUT]
+    assert records[:1 + len(outs)] == [q, *outs]
+    return alive, [(z, state.mu[z]) for z in records[1 + len(outs):]]
+
+
 @given(frameworks(max_args=8))
 def test_relabelling_plans(f):
-    # each blank argument of the root, assigned under a checkpoint, keeps the
-    # plan that the dict-and-sort reference gives, on a dead end too
+    # each blank argument of the root, assigned under a checkpoint, relabels
+    # its blank neighbours in the order and with the labels of the
+    # dict-and-sort reference, up to the dead end if it meets one; only
+    # merged plans are kept, and they equal the reference
     state = initial_state(f)
-    for q in state.members(BLANK):
-        state.checkpoint()
-        assign_in(state, q)
-        assert state.plans[q] == reference_plan(f, q)
+    blanks = state.members(BLANK)
+    for q in blanks:
+        before = list(state.mu)
+        alive, done = relabelled(state, f, q)
+        expected = [(z, label) for z, label in reference_plan(f, q) if before[z] is BLANK]
+        assert done == (expected if alive else expected[:len(done)])
         state.rollback()
+    kept = [q for q, plan in enumerate(state.plans) if plan is not None]
+    assert kept == [q for q in blanks if merged(f, q)]
+    assert all(state.plans[q] == reference_plan(f, q) for q in kept)
 
 
-@pytest.mark.parametrize("attacks, plan", [
-    ("ac bc cd ce", "a:must_out b:must_out d:out e:out"),  # attackers below targets
-    ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets: merged and sorted
-    ("ac ca cd dc", "a:out d:out"),  # the same arguments attack c and are attacked by it
-    ("ac cb bc ce dc", "a:must_out b:out d:must_out e:out"),  # interleaved
-    ("ca cd", "a:out d:out"),  # no attackers
-    ("ac dc", "a:must_out d:must_out"),  # no targets
+@pytest.mark.parametrize("attacks, plan, kept", [
+    ("ac bc cd ce", "a:must_out b:must_out d:out e:out", False),  # attackers below targets
+    ("ca cb dc ec", "a:out b:out d:must_out e:must_out", True),  # attackers above targets: merged and sorted
+    ("ac ca cd dc", "a:out d:out", False),  # the same arguments attack c and are attacked by it
+    ("ac cb bc ce dc", "a:must_out b:out d:must_out e:out", True),  # interleaved: merged and sorted
+    ("ca cd", "a:out d:out", False),  # no attackers
+    ("ac dc", "a:must_out d:must_out", False),  # no targets
 ], ids=["attackers_below", "attackers_above", "same", "interleaved", "no_attackers", "no_targets"])
-def test_relabelling_plan_of_each_construction(attacks, plan):
-    f = build("abcde", [tuple(pair) for pair in attacks.split()])
+def test_relabelling_plan_of_each_construction(attacks, plan, kept):
+    # f and g attack every neighbour of c, so each keeps two blank attackers,
+    # no trigger fires and the relabelling runs to its end
+    f = build("abcdefg", [tuple(pair) for pair in (attacks + " fa fb fd fe ga gb gd ge").split()])
     q = f.names.index("c")
     state = initial_state(f)
-    state.checkpoint()
-    assign_in(state, q)
-    assert [f"{f.names[z]}:{label.json_name()}" for z, label in state.plans[q]] == plan.split()
+    alive, done = relabelled(state, f, q)
+    assert alive
+    assert [f"{f.names[z]}:{label.json_name()}" for z, label in done] == plan.split()
+    assert done == reference_plan(f, q)
+    assert (state.plans[q] is not None) == kept == merged(f, q)
 
 
 @given(frameworks(max_args=8))
@@ -541,6 +594,22 @@ def test_root_search_holds_little_beyond_the_framework():
         peak = tracemalloc.get_traced_memory()[1]
     assert len(found) == 1
     assert peak < 1.5 * held, (peak, held)
+
+
+def test_deep_search_holds_little_per_open_branch():
+    # SE-ST on 4,000 pairs: the first extension lies 4,000 branches deep, and
+    # no frame on the way down keeps a worklist, a relabelling plan or a
+    # tuple per pending branch, so the search's peak above the framework
+    # stays below 300 bytes per open branch
+    n = 8000
+    with traced():
+        f = pairs_framework(n)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        first = next(extensions(f, range(n)))
+        peak = tracemalloc.get_traced_memory()[1]
+    assert first == tuple(range(0, n, 2))
+    assert peak - held < 300 * (n // 2), (peak - held, held)
 
 
 @given(frameworks(max_args=7))
