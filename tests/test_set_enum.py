@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 
@@ -17,9 +20,10 @@ from stabenum.set_enum import (
     sole_attacker,
     start_state,
 )
-from stabenum.strategies import STRATEGIES, SearchStats
+from stabenum.generators import GenSpec, random_af
+from stabenum.strategies import STRATEGIES, Probe, SearchStats
 
-from conftest import Recorder, frameworks, h1_framework, ids
+from conftest import Recorder, frameworks, h1_framework, ids, pairs_framework
 
 
 def state(f, chosen="", defeated="", choice="", tabu=""):
@@ -250,3 +254,61 @@ def test_set_state_repr(h1):
         "SetState(chosen=frozenset({0}), defeated=frozenset({1}), "
         "choice=frozenset({2, 3}), tabu=frozenset())"
     )
+
+
+class SetEventLog(Probe):
+    """Records every probe event as plain JSON values: ``state`` and
+    ``dead_end`` events as the event name and the four sorted sets of the
+    state (chosen, defeated, choice, tabu), ``branch`` and ``force`` events
+    as the event name and the argument."""
+
+    def __init__(self):
+        self.events = []
+
+    def _record(self, name, state):
+        self.events.append([name] + [sorted(s) for s in
+                                     (state.chosen, state.defeated, state.choice, state.tabu)])
+
+    def state(self, state):
+        self._record("state", state)
+
+    def branch(self, state, x):
+        self.events.append(["branch", x])
+
+    def force(self, state, x):
+        self.events.append(["force", x])
+
+    def dead_end(self, state):
+        self._record("dead_end", state)
+
+
+# SHA-256 of the canonical JSON of every run below, the runs of label's
+# SEARCH_DIGEST: count, extensions and the ordered probe events; any change
+# to the search tree, to the forcing order or to a state the probe sees
+# (the root included, which this engine does not report) changes it
+SET_SEARCH_DIGEST = "4e905d6b8c67bef5d4833365d3cd3a7db525cf5c19e01d5b6ecebeb355534fb7"
+
+
+def test_event_stream_pinned():
+    instances = [
+        random_af(GenSpec(n=n, p=p, allow_self_loops=self_loops, seed=seed))
+        for n in (8, 12, 20, 30)
+        for p in (0.1, 0.2, 0.35)
+        for self_loops in (False, True)
+        for seed in range(8)
+    ]
+    instances.append(pairs_framework(12))
+    digest = hashlib.sha256()
+    runs = 0
+    for f in instances:
+        for order in sorted(STRATEGIES):
+            for limit in (None, 1, 2):
+                log, found = SetEventLog(), []
+                count = enumerate_extensions(
+                    f, STRATEGIES[order](f), found.append, probe=log, limit=limit
+                )
+                record = [count, [list(e) for e in found], log.events]
+                digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+                runs += 1
+    assert runs == 1737
+    assert digest.hexdigest() == SET_SEARCH_DIGEST
