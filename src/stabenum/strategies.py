@@ -13,14 +13,15 @@ Sink = Callable[[tuple[int, ...]], None]
 
 def search_order(f: Framework, order: Sequence[int] | None) -> Sequence[int]:
     """The branching order ``order``, ``range(f.n)`` for None; ``ValueError``
-    for an order that is not a sequence or not a permutation."""
+    for an order that is not a sequence or not a permutation of exact ints
+    (``1.0`` and ``True`` compare equal to ``1`` but are not indices)."""
     if order is None or (type(order) is range and order == range(f.n)):
         return range(f.n)
     if not isinstance(order, Sequence):
         # an iterator would be used up by the check below
         raise ValueError(f"branching order is not a permutation of range({f.n}) "
                          f"in a sequence: got {type(order).__name__}")
-    if sorted(order) != list(range(f.n)):
+    if any(type(x) is not int for x in order) or sorted(order) != list(range(f.n)):
         raise ValueError(f"branching order is not a permutation of range({f.n})")
     return order
 

@@ -211,8 +211,12 @@ def test_limit_below_one_is_rejected(engine, limit):
         (x for x in range(4)),
         # an order function where its permutation belongs
         STRATEGIES["lex"],
+        # equal to a permutation item by item, but not of exact ints
+        [1.0, 0.0, 3.0, 2.0],
+        [True, False, 2, 3],
     ],
-    ids=["missing", "repeated", "out-of-range", "iterator", "generator", "function"],
+    ids=["missing", "repeated", "out-of-range", "iterator", "generator", "function",
+         "float", "bool"],
 )
 @pytest.mark.parametrize("engine", [set_enum, label_enum])
 def test_order_that_is_not_a_permutation_is_rejected(engine, order):
