@@ -22,12 +22,10 @@ worklist is empty at a branch point, so it has a blank attacker and each
 must-out argument two, and each counter drops by one at most.
 
 Forced arguments accumulate in the worklist ``gamma`` and are assigned by
-:func:`drain`, lowest index first, through a heap.  The search branches on
-the first blank argument of a static order, found by a cursor that only
-moves forward along a path, so a search frame costs O(changes), not O(n):
-no frame scans all labels, only the report of an extension does, and the
-cursor passes each argument once per path; the cursor reaching the end of
-the order recognises a leaf.
+:func:`drain`, lowest index first, through a heap.  The search is
+:func:`~stabenum.strategies.backtrack` over the blank arguments, so a search
+frame costs O(changes), not O(n): no frame scans all labels, only the
+report of an extension does.
 Only labels are journalled on a trail, one int per relabelling: ``x`` when
 ``x`` leaves blank, ``~x`` (that is, ``-x - 1``) when must-out ``x`` becomes
 out, so the sign tells the old label even for argument 0, where ``-0`` could
@@ -35,8 +33,7 @@ not.  A checkpoint marks the trail and saves the worklist only if it is
 not empty; the search opens each of its checkpoints on an empty worklist,
 so it keeps the mark alone.  Backtracking replays the journal backwards,
 re-deriving the counters, and restores the worklist, so ``mu``, ``pi`` and
-``gamma`` return exactly.  The search runs on an explicit stack, not bounded
-by Python's recursion limit.
+``gamma`` return exactly.
 
 ``mu`` holds :class:`Label` members only, and the hot paths test them by
 identity (``mu[x] is BLANK``): ``Label`` is an ``IntEnum``, so ``==`` on
@@ -67,7 +64,7 @@ from heapq import heappop, heappush
 from itertools import compress
 
 from .framework import Framework
-from .strategies import NO_PROBE, Probe, Sink, deliver, search_order
+from .strategies import NO_PROBE, Probe, Sink, backtrack, deliver, search_order
 
 
 class Label(enum.IntEnum):
@@ -394,56 +391,44 @@ def extensions(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every stable extension once, its arguments ascending.
 
-    The search branches on the first blank argument of the permutation
-    ``order``, trying it in and then out; the out-branches still to try
-    wait on an explicit stack.  ``probe`` sees every branch, forced argument
-    and dead end, once each, and a state boundary on entry to each search
-    frame (the root, and each in- and out-branch) and after each worklist
-    assignment that keeps the branch alive.  The search advances only when
-    the next extension is asked for.  The leaf and out-branch lemmas (see
-    the module docstring) are asserted.
+    The search is :func:`~stabenum.strategies.backtrack` over blank
+    arguments in the permutation ``order``.  ``probe`` sees every branch,
+    forced argument and dead end, once each, and a state boundary on entry
+    to each search frame (the root, and each in- and out-branch) and after
+    each worklist assignment that keeps the branch alive.  The leaf and
+    out-branch lemmas (see the module docstring) are asserted.
     """
-    n = len(order)
     state = initial_state(f, probe)
     if state.dead_root:
         return
-    # every argument before the cursor in ``order`` is labelled; labels only
-    # leave blank along a path, so the cursor only moves forward on it
-    cursor = 0
-    # the cursor of each branch, on order[cursor], whose out-branch is still
-    # to try; its checkpoint, opened before the in-branch, also undoes the
-    # out-branches of every deeper branch
-    pending: list[int] = []
-    probing = probe is not NO_PROBE
-    if probing:
+    if probe is not NO_PROBE:
         probe.state(state)
-    while True:
-        if drain(state):
-            mu = state.mu
-            while cursor < n and mu[order[cursor]] is not BLANK:
-                cursor += 1
-            if cursor < n:
-                x = order[cursor]
-                if probing:
-                    probe.branch(state, x)
-                pending.append(cursor)
-                state.checkpoint()
-                state.gamma_add(x)
-                if probing:
-                    probe.state(state)
-                continue
-            assert is_solution(state)
-            yield state.members(IN)
-        # backtrack to the deepest branch whose out-branch is still to try
-        if not pending:
-            return
-        cursor = pending.pop()
-        x = order[cursor]
+    n = len(order)
+
+    def advance(state: LabelState, cursor: int) -> int:
+        mu = state.mu
+        while cursor < n and mu[order[cursor]] is not BLANK:
+            cursor += 1
+        return cursor
+
+    def enter(state: LabelState, x: int) -> LabelState:
+        # the checkpoint also undoes the out-branches of every deeper branch
+        state.checkpoint()
+        state.gamma_add(x)
+        return state
+
+    def leave(x: int) -> LabelState:
         state.rollback()
         excluded = mark_must_out(state, x)
         assert excluded, f"excluding branch argument {f.names[x]} ended its branch"
-        if probing:
-            probe.state(state)
+        return state
+
+    def solution(state: LabelState) -> tuple[int, ...]:
+        assert is_solution(state)
+        return state.members(IN)
+
+    yield from backtrack(state, order, lambda state: state if drain(state) else None,
+                         advance, enter, leave, solution, probe)
 
 
 def enumerate_extensions(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from .framework import Framework, Frozen, attacked_by, attackers_of, initial_partition
-from .strategies import NO_PROBE, Probe, Sink, deliver, search_order
+from .strategies import NO_PROBE, Probe, Sink, backtrack, deliver, search_order
 
 
 class SetState(Frozen):
@@ -127,37 +127,33 @@ def extensions(
 ) -> Iterator[tuple[int, ...]]:
     """Yield every stable extension once, its arguments ascending.
 
-    The search branches on the first argument of the permutation ``order``
-    that is still in the choice set, trying it in and then out; the
-    out-branches still to try wait on an explicit stack, so the depth of the
-    search is not bounded by Python's recursion limit.  ``probe`` sees every
-    branch, forced argument and dead end, and every state the search moves
-    to.  The search advances only when the next extension is asked for.
+    The search is :func:`~stabenum.strategies.backtrack` over the choice
+    set in the permutation ``order``.  ``probe`` sees every branch, forced
+    argument and dead end, and every state the search moves to; the start
+    state is not reported.
     """
-    # (state, x) per branch on x whose out-branch is still to try
-    pending: list[tuple[SetState, int]] = []
-    probing = probe is not NO_PROBE
-    state = start_state(f)
-    while True:
-        after = propagate(state, f, probe)
-        if after is not None and after.choice:
-            x = next(y for y in order if y in after.choice)
-            if probing:
-                probe.branch(after, x)
-            pending.append((after, x))
-            state = apply_join(after, f, frozenset((x,)))
-        else:
-            if after is not None:
-                # choice is empty, so a tabu argument would have been a dead end
-                assert is_solution(after)
-                yield tuple(sorted(after.chosen))
-            if not pending:
-                return
-            after, x = pending.pop()
-            state = SetState(after.chosen, after.defeated,
-                             after.choice - {x}, after.tabu | {x})
-        if probing:
-            probe.state(state)
+    n = len(order)
+    # the settled state of each branch whose out-branch is still to try
+    saved: list[SetState] = []
+
+    def advance(state: SetState, cursor: int) -> int:
+        return next((c for c in range(cursor, n) if order[c] in state.choice), n)
+
+    def enter(state: SetState, x: int) -> SetState:
+        saved.append(state)
+        return apply_join(state, f, frozenset((x,)))
+
+    def leave(x: int) -> SetState:
+        after = saved.pop()
+        return SetState(after.chosen, after.defeated, after.choice - {x}, after.tabu | {x})
+
+    def solution(state: SetState) -> tuple[int, ...]:
+        # choice is empty, so a tabu argument would have been a dead end
+        assert is_solution(state)
+        return tuple(sorted(state.chosen))
+
+    yield from backtrack(start_state(f), order, lambda state: propagate(state, f, probe),
+                         advance, enter, leave, solution, probe)
 
 
 def enumerate_extensions(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import islice
 
 from .framework import Framework
@@ -105,6 +105,60 @@ class SearchStats(Probe):
 
     def force(self, state: object, x: int) -> None:
         self.propagations += 1
+
+
+def backtrack(state: object, order: Sequence[int], settle: Callable[..., object],
+              advance: Callable[..., int], enter: Callable[..., object],
+              leave: Callable[[int], object], solution: Callable[..., tuple[int, ...]],
+              probe: Probe) -> Iterator[tuple[int, ...]]:
+    """Yield the ``solution`` of each leaf below ``state``: the one
+    backtracking loop of both engines.
+
+    Each search frame first settles its state: ``settle`` applies every
+    forced move and returns the settled state, or None at a dead end.  It
+    then branches on the first free argument ``x`` of the permutation
+    ``order``, trying it in and then out: ``enter(state, x)`` returns the
+    in-branch's state, and ``leave(x)`` the out-branch's, made from the
+    state ``x`` was branched on; what that takes to restore is the
+    engine's.  A cursor finds ``x``: every argument before it in ``order``
+    is not free, and arguments only stop being free along a path, so the
+    cursor only moves forward on it and passes each argument once per path.
+    ``advance(state, cursor)`` moves it to the first free argument at or
+    after it, or to ``len(order)``.  A settled state without a free
+    argument is a leaf, and a leaf is a solution; ``solution`` gives its
+    extension.  The out-branches still to try wait on an explicit stack,
+    one cursor each, so the depth of the search is not bounded by Python's
+    recursion limit; a leaf or a dead end resumes the deepest of them.
+
+    ``probe`` sees each branch, on the settled state, and each in- and
+    out-branch's state on entry, but not ``state``, the root; ``settle``
+    reports its own events.  The search advances only when the next
+    solution is asked for.
+    """
+    n = len(order)
+    cursor = 0
+    # the cursor of each branch whose out-branch is still to try
+    pending: list[int] = []
+    while True:
+        settled = settle(state)
+        if settled is not None:
+            cursor = advance(settled, cursor)
+            if cursor < n:
+                x = order[cursor]
+                if probe is not NO_PROBE:
+                    probe.branch(settled, x)
+                pending.append(cursor)
+                state = enter(settled, x)
+                if probe is not NO_PROBE:
+                    probe.state(state)
+                continue
+            yield solution(settled)
+        if not pending:
+            return
+        cursor = pending.pop()
+        state = leave(order[cursor])
+        if probe is not NO_PROBE:
+            probe.state(state)
 
 
 def lex_order(f: Framework) -> Sequence[int]:
