@@ -828,24 +828,41 @@ def test_out_branch_never_ends_at_once(monkeypatch, order):
     assert results and all(results)
 
 
+class PatchAtFirstBranch(SearchStats):
+    """Counts like :class:`SearchStats` and calls ``patch`` at the first
+    branch, once the search and its closures exist; ``propagations_before``
+    is the propagation count at that point."""
+
+    def __init__(self, patch):
+        super().__init__()
+        self.patch = patch
+        self.propagations_before = None
+
+    def branch(self, state, x):
+        if self.propagations_before is None:
+            self.propagations_before = self.propagations
+            self.patch()
+        super().branch(state, x)
+
+
 def test_traced_names_stay_on_the_call_path(monkeypatch):
-    # perfbench's tracer wraps these module globals; a kernel that inlined
-    # one of them would leave its traced counter silently at zero
-    from stabenum import label_enum
+    # perfbench's tracer wraps these names where the search looks them up;
+    # wrapping them only after the first branch also catches a search that
+    # bound one when it started, which would leave its traced counter at zero
+    from stabenum import label_enum, set_enum
 
-    calls = dict.fromkeys(["assign_in", "mark_must_out", "drain"], 0)
+    calls = {}
 
-    def counter(name):
-        fn = getattr(label_enum, name)
+    def counter(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in calls:
-        monkeypatch.setattr(label_enum, name, counter(name))
     queued = 0
     force = label_enum._force
 
@@ -855,11 +872,33 @@ def test_traced_names_stay_on_the_call_path(monkeypatch):
         force(state, *args, **kwargs)
         queued += len(state.gamma) > before
 
-    monkeypatch.setattr(label_enum, "_force", counted_force)
-    stats = SearchStats()
-    enumerate_extensions(random_af(GenSpec(160, 0.025, seed=1)), probe=stats)
-    assert stats.propagations > 0
-    assert queued == stats.propagations
+    def patch_label():
+        names = ["assign_in", "mark_must_out", "drain"]
+        if __debug__:
+            # is_solution runs inside an assert, which python -O drops
+            names.append("is_solution")
+        for name in names:
+            counter(label_enum, name)
+        for name in ["checkpoint", "rollback", "members"]:
+            counter(LabelState, name)
+        monkeypatch.setattr(label_enum, "_force", counted_force)
+
+    f = random_af(GenSpec(160, 0.025, seed=1))
+    stats = PatchAtFirstBranch(patch_label)
+    enumerate_extensions(f, probe=stats)
+    assert stats.propagations > stats.propagations_before
+    assert queued == stats.propagations - stats.propagations_before
+    assert len(calls) == 6 + __debug__
+    assert all(count > 0 for count in calls.values()), calls
+
+    calls.clear()
+
+    def patch_set():
+        for name in ["propagate", "apply_join", "forced_in", "sole_attacker"]:
+            counter(set_enum, name)
+
+    set_enum.enumerate_extensions(f, probe=PatchAtFirstBranch(patch_set))
+    assert len(calls) == 4
     assert all(count > 0 for count in calls.values()), calls
 
 
