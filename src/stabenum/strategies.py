@@ -1,4 +1,4 @@
-"""Branching orders and the search probe shared by both engines."""
+"""Branching orders, the search probe and the backtracking loop shared by both engines."""
 
 from __future__ import annotations
 
