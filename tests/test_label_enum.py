@@ -929,10 +929,36 @@ class EventLog(Probe):
         self._record(state, False)
 
 
+def tree_events(events):
+    """The events of an :class:`EventLog` without the order of forcing:
+    branches and consistent states as they are, each run of ``force`` events
+    between two other events as the sorted set of the arguments it forced,
+    and a dead end as a bare ``["dead_end"]``, with the forces just before it
+    and its snapshot dropped."""
+    tree, forced = [], []
+    for event in events:
+        if event[0] == "force":
+            forced.append(event[1])
+        elif event[0] == "dead_end":
+            tree.append(event)
+            forced = []
+        elif event[0] == "branch" or event[-1]:
+            if forced:
+                tree.append(["forced", sorted(set(forced))])
+                forced = []
+            tree.append(event)
+    return tree
+
+
 # SHA-256 of the canonical JSON of every run below: count, extensions and the
 # ordered probe events; any change to the search tree, to the forcing order or
 # to a state the probe sees changes it
 SEARCH_DIGEST = "7509a2a391d062d8ed9bf41e04ecb293c94bcf63b0de504a0fc6d9f0d5f53269"
+# the same runs through tree_events: the search tree, the consistent states,
+# what each assignment that keeps its branch alive forces and where each dead
+# end lies, but not the order of forcing within one assignment, nor the
+# forces and state reported just before a dead end
+TREE_DIGEST = "4ae9ea2cb8398d3b768724694eb80a85b14b989fcb7716e1b230ffe60966de38"
 
 
 def test_event_stream_pinned():
@@ -944,7 +970,7 @@ def test_event_stream_pinned():
         for seed in range(8)
     ]
     instances.append(pairs_framework(12))
-    digest = hashlib.sha256()
+    digest, tree_digest = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for f in instances:
         for order in sorted(STRATEGIES):
@@ -953,8 +979,11 @@ def test_event_stream_pinned():
                 count = enumerate_extensions(
                     f, STRATEGIES[order](f), found.append, probe=log, limit=limit
                 )
-                record = [count, [list(e) for e in found], log.events]
-                digest.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
+                found = [list(e) for e in found]
+                for into, events in ((digest, log.events), (tree_digest, tree_events(log.events))):
+                    record = [count, found, events]
+                    into.update(json.dumps(record, separators=(",", ":")).encode() + b"\n")
                 runs += 1
     assert runs == 1737
+    assert tree_digest.hexdigest() == TREE_DIGEST
     assert digest.hexdigest() == SEARCH_DIGEST
