@@ -46,14 +46,10 @@ probe, both set by :func:`initial_state`, so every other function takes the
 state and what it acts on; the engine tests ``probe is not NO_PROBE``
 before each event.
 
-Assigning an argument in relabels its neighbourhood in index order, writes
-each label in place, and fires the triggers of each relabelled argument's
-targets in one pass.  Where every attacker precedes every target, or the
-two are the same, or one is empty, index order is the attackers and then
-the targets, read straight from the framework.  Otherwise the neighbours
-are merged and sorted into a plan, which depends on the framework alone;
-one built under an open checkpoint is kept for the rest of the search,
-since only such an assignment can be undone and made again.
+Assigning an argument in relabels its blank targets out and then its blank
+attackers must-out, each in index order as the framework stores them,
+writes each label in place, and fires the triggers of each relabelled
+argument's targets in one pass.
 """
 
 from __future__ import annotations
@@ -97,22 +93,11 @@ class LabelState:
     where ``-0`` would read as a blank record).  A checkpoint is the
     trail's length, or ``(length, sorted gamma)`` where ``gamma`` is not
     empty, so one opened on an empty worklist allocates no list.
-    ``plans[q]`` is ``None`` until :func:`assign_in` assigns ``q`` under an
-    open checkpoint (no other assignment is ever undone) and ``q``'s
-    attackers and targets interleave in index order, or its targets all
-    precede its attackers; it is then ``q``'s relabelling plan: a list of
-    ``(neighbour, label)`` pairs, its neighbours merged and sorted, each
-    with ``OUT`` if ``q`` attacks it and ``MUST_OUT`` otherwise.  Every
-    other neighbourhood is relabelled from ``f.pred[q]`` and ``f.succ[q]``
-    and gets no plan.  Plans depend on the framework alone, so they are
-    never journalled and survive rollback; together they hold at most
-    O(n + m) entries per search.
     ``dead_root`` is True when the triggers of :func:`initial_state` met a
     dead end.  States compare by identity.
     """
 
-    __slots__ = ("f", "probe", "mu", "pi", "gamma", "trail", "checkpoints", "heap", "plans",
-                 "dead_root")
+    __slots__ = ("f", "probe", "mu", "pi", "gamma", "trail", "checkpoints", "heap", "dead_root")
 
     def __init__(self, f: Framework, mu: list[Label], pi: list[int],
                  probe: Probe = NO_PROBE) -> None:
@@ -125,8 +110,6 @@ class LabelState:
         self.trail: list[int] = []
         # a trail mark, with the sorted worklist where it was not empty
         self.checkpoints: list[int | tuple[int, list[int]]] = []
-        # merged relabelling plans, kept under an open checkpoint
-        self.plans: list[list[tuple[int, Label]] | None] = [None] * len(mu)
         self.dead_root = False
 
     def gamma_add(self, x: int) -> bool:
@@ -303,13 +286,11 @@ def _leave_blank(state: LabelState, x: int, label: Label) -> bool:
 def assign_in(state: LabelState, q: int) -> bool:
     """Label blank ``q`` in and relabel its neighborhood; False kills the branch.
 
-    Must-out targets of ``q`` become out.  Blank neighbors become out
-    (targets) or must-out (attackers) through :func:`_leave_blank`, in
-    index order: the attackers and then the targets where that is index
-    order (the targets alone where the two are the same), and otherwise
-    ``q``'s merged plan, the kept one or one built here and kept only if a
-    checkpoint is open (see :class:`LabelState`).  The state is left as-is
-    on a dead end so the caller can roll it back.
+    Must-out targets of ``q`` become out first.  Then, through
+    :func:`_leave_blank`, its blank targets become out, ascending, and
+    then its blank attackers must-out, ascending; an attacker that is also
+    a target is out by then and is skipped.  The state is left as-is on a
+    dead end so the caller can roll it back.
     The trail is written at three sites only, two here and one in
     :func:`_leave_blank`: ``q`` blank to in, a must-out target to out, and
     a blank argument to out or must-out; each also updates ``mu`` in place.
@@ -323,29 +304,11 @@ def assign_in(state: LabelState, q: int) -> bool:
         if mu[z] is MUST_OUT:
             trail.append(~z)
             mu[z] = OUT
-    plan = state.plans[q]
-    if plan is None:
-        attackers = f.pred[q]
-        if attackers == targets:
-            # every attacker is a target, so it becomes out
-            attackers = ()
-        if not attackers or not targets or attackers[-1] < targets[0]:
-            # index order is the attackers, then the targets: no plan is needed
-            for z in attackers:
-                if mu[z] is BLANK and not _leave_blank(state, z, MUST_OUT):
-                    return False
-            for z in targets:
-                if mu[z] is BLANK and not _leave_blank(state, z, OUT):
-                    return False
-            return True
-        labels = dict.fromkeys(attackers, MUST_OUT)
-        labels.update(dict.fromkeys(targets, OUT))
-        plan = sorted(labels.items())
-        # an assignment outside every checkpoint is never undone
-        if state.checkpoints:
-            state.plans[q] = plan
-    for z, label in plan:
-        if mu[z] is BLANK and not _leave_blank(state, z, label):
+    for z in targets:
+        if mu[z] is BLANK and not _leave_blank(state, z, OUT):
+            return False
+    for z in f.pred[q]:
+        if mu[z] is BLANK and not _leave_blank(state, z, MUST_OUT):
             return False
     return True
 

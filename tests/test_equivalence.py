@@ -54,18 +54,18 @@ def test_equivalence_without_self_loops(f):
         pytest.param(h1_framework(), "lex", (2, 2, 4), (2, 2, 6), id="h1"),
         pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "lex", (2, 5, 14), (2, 5, 21),
                      id="n30_seed34"),
-        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "lex", (1, 22, 26), (1, 22, 83),
+        pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "lex", (1, 22, 26), (1, 22, 81),
                      id="n30_seed2"),
         pytest.param(h1_framework(), "max-out", (2, 1, 4), (2, 1, 4), id="h1_max_out"),
         pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "max-out", (2, 10, 31),
                      (2, 10, 51), id="n30_seed34_max_out"),
         pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "max-out", (1, 8, 11),
-                     (1, 8, 33), id="n30_seed2_max_out"),
+                     (1, 8, 29), id="n30_seed2_max_out"),
         pytest.param(h1_framework(), "max-in", (2, 2, 4), (2, 2, 6), id="h1_max_in"),
         pytest.param(random_af(GenSpec(n=30, p=0.2, seed=34)), "max-in", (2, 15, 39),
-                     (2, 15, 71), id="n30_seed34_max_in"),
+                     (2, 15, 72), id="n30_seed34_max_in"),
         pytest.param(random_af(GenSpec(n=30, p=0.2, seed=2)), "max-in", (1, 17, 26),
-                     (1, 17, 77), id="n30_seed2_max_in"),
+                     (1, 17, 74), id="n30_seed2_max_in"),
     ],
 )
 def test_search_counters_pinned(f, order, set_counters, label_counters):

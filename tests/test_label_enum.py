@@ -484,18 +484,12 @@ def test_agrees_with_bruteforce(f):
 
 
 def reference_plan(f, q):
-    # q's neighbours ascending: OUT for each target of q, an attacker of q
-    # included, and MUST_OUT for each argument that only attacks q
-    labels = {x: MUST_OUT for x, y in f.attacks if y == q}
-    labels.update({y: OUT for x, y in f.attacks if x == q})
-    return sorted(labels.items())
-
-
-def merged(f, q):
-    # True where q's attackers and targets interleave in index order (or all
-    # targets precede all attackers), the only neighbourhoods that get a plan
-    attackers, targets = f.pred[q], f.succ[q]
-    return bool(attackers and targets and attackers != targets and attackers[-1] >= targets[0])
+    # the order and labels in which assign_in relabels q's neighbours: OUT
+    # for each target of q, ascending, then MUST_OUT for each attacker of q
+    # that is not a target, ascending
+    targets = sorted({y for x, y in f.attacks if x == q})
+    attackers = sorted({x for x, y in f.attacks if y == q} - set(targets))
+    return [(z, OUT) for z in targets] + [(z, MUST_OUT) for z in attackers]
 
 
 def relabelled(state, f, q):
@@ -515,32 +509,28 @@ def relabelled(state, f, q):
 def test_relabelling_plans(f):
     # each blank argument of the root, assigned under a checkpoint, relabels
     # its blank neighbours in the order and with the labels of the
-    # dict-and-sort reference, up to the dead end if it meets one; only
-    # merged plans are kept, and they equal the reference
+    # reference, targets and then attackers, up to the dead end if it meets one
     state = initial_state(f)
-    blanks = state.members(BLANK)
-    for q in blanks:
+    for q in state.members(BLANK):
         before = list(state.mu)
         alive, done = relabelled(state, f, q)
         expected = [(z, label) for z, label in reference_plan(f, q) if before[z] is BLANK]
         assert done == (expected if alive else expected[:len(done)])
         state.rollback()
-    kept = [q for q, plan in enumerate(state.plans) if plan is not None]
-    assert kept == [q for q in blanks if merged(f, q)]
-    assert all(state.plans[q] == reference_plan(f, q) for q in kept)
 
 
-@pytest.mark.parametrize("attacks, plan, kept", [
-    ("ac bc cd ce", "a:must_out b:must_out d:out e:out", False),  # attackers below targets
-    ("ca cb dc ec", "a:out b:out d:must_out e:must_out", True),  # attackers above targets: merged and sorted
-    ("ac ca cd dc", "a:out d:out", False),  # the same arguments attack c and are attacked by it
-    ("ac cb bc ce dc", "a:must_out b:out d:must_out e:out", True),  # interleaved: merged and sorted
-    ("ca cd", "a:out d:out", False),  # no attackers
-    ("ac dc", "a:must_out d:must_out", False),  # no targets
+@pytest.mark.parametrize("attacks, plan", [
+    ("ac bc cd ce", "d:out e:out a:must_out b:must_out"),  # attackers below targets
+    ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets
+    ("ac ca cd dc", "a:out d:out"),  # the same arguments attack c and are attacked by it
+    ("ac cb bc ce dc", "b:out e:out a:must_out d:must_out"),  # interleaved: b is out already
+    ("ca cd", "a:out d:out"),  # no attackers
+    ("ac dc", "a:must_out d:must_out"),  # no targets
 ], ids=["attackers_below", "attackers_above", "same", "interleaved", "no_attackers", "no_targets"])
-def test_relabelling_plan_of_each_construction(attacks, plan, kept):
+def test_relabelling_plan_of_each_construction(attacks, plan):
     # f and g attack every neighbour of c, so each keeps two blank attackers,
-    # no trigger fires and the relabelling runs to its end
+    # no trigger fires and the relabelling runs to its end, whatever the
+    # index order of c's attackers and targets
     f = build("abcdefg", [tuple(pair) for pair in (attacks + " fa fb fd fe ga gb gd ge").split()])
     q = f.names.index("c")
     state = initial_state(f)
@@ -548,41 +538,11 @@ def test_relabelling_plan_of_each_construction(attacks, plan, kept):
     assert alive
     assert [f"{f.names[z]}:{label.json_name()}" for z, label in done] == plan.split()
     assert done == reference_plan(f, q)
-    assert (state.plans[q] is not None) == kept == merged(f, q)
-
-
-@given(frameworks(max_args=8))
-def test_root_assignments_keep_no_plan(f):
-    # no checkpoint is open at the root, so its assignments are never undone
-    state = initial_state(f)
-    if not state.dead_root:
-        drain(state)
-    assert state.plans == [None] * f.n
-
-
-def test_grounded_root_keeps_no_plan():
-    f = build("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
-    state = initial_state(f)
-    assert drain(state)
-    assert state.members(IN) == (0, 2)
-    assert state.plans == [None] * 4
-
-
-def test_plan_made_under_a_checkpoint_survives_rollback():
-    f = build("abc", [("a", "b"), ("b", "a"), ("b", "c")])
-    state = initial_state(f)
-    state.checkpoint()
-    assert assign_in(state, 1)
-    plan = state.plans[1]
-    assert plan == reference_plan(f, 1)
-    state.rollback()
-    assert assign_in(state, 1)
-    assert state.plans[1] is plan
 
 
 def test_root_search_holds_little_beyond_the_framework():
-    # a grounded DAG is settled at the root, where no relabelling plan is
-    # kept, so the search's peak stays near what the framework holds
+    # a grounded DAG is settled at the root, so the search's peak stays near
+    # what the framework holds
     rng = random.Random(1)
     n = 5000
     with traced():
@@ -598,9 +558,9 @@ def test_root_search_holds_little_beyond_the_framework():
 
 def test_deep_search_holds_little_per_open_branch():
     # SE-ST on 4,000 pairs: the first extension lies 4,000 branches deep, and
-    # no frame on the way down keeps a worklist, a relabelling plan or a
-    # tuple per pending branch, so the search's peak above the framework
-    # stays below 300 bytes per open branch
+    # no frame on the way down keeps a worklist or a tuple per pending
+    # branch, so the search's peak above the framework stays below 300 bytes
+    # per open branch
     n = 8000
     with traced():
         f = pairs_framework(n)
@@ -953,7 +913,7 @@ def tree_events(events):
 # SHA-256 of the canonical JSON of every run below: count, extensions and the
 # ordered probe events; any change to the search tree, to the forcing order or
 # to a state the probe sees changes it
-SEARCH_DIGEST = "7509a2a391d062d8ed9bf41e04ecb293c94bcf63b0de504a0fc6d9f0d5f53269"
+SEARCH_DIGEST = "48de72ee33ff3710d5088ed55ef6433861d1d830868550b105e54ab796ff67a8"
 # the same runs through tree_events: the search tree, the consistent states,
 # what each assignment that keeps its branch alive forces and where each dead
 # end lies, but not the order of forcing within one assignment, nor the
