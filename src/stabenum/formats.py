@@ -207,13 +207,23 @@ def parse_tgf(text: str, diagnostics: list[ParseDiagnostic] | None = None) -> Fr
     return _build(lexed, lambda: (name_lines, attack_lines), diagnostics)
 
 
+def _check_names(f: Framework) -> None:
+    """``ValueError`` naming the first name of ``f`` that is not ``_NAME``:
+    the parsers would reject it, or read another name, in either format."""
+    for name in f.names:
+        if not _TOKEN.fullmatch(name):
+            raise ValueError(f"argument name {name!r} does not match {_NAME}")
+
+
 def write_apx(f: Framework) -> str:
+    _check_names(f)
     lines = [f"arg({name})." for name in f.names]
     lines += [f"att({f.names[x]},{f.names[y]})." for x, y in f.attacks]
     return "".join(line + "\n" for line in lines)
 
 
 def write_tgf(f: Framework) -> str:
+    _check_names(f)
     lines = list(f.names)
     lines.append("#")
     lines += [f"{f.names[x]} {f.names[y]}" for x, y in f.attacks]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import io
 import random
+import re
 import tracemalloc
 from operator import attrgetter
 
@@ -205,6 +206,17 @@ def test_apx_round_trip(f):
 @given(frameworks())
 def test_tgf_round_trip(f):
     assert parse_tgf(write_tgf(f)) == f
+
+
+# build accepts any name, but a name outside [A-Za-z0-9_]+ would make either
+# writer emit text its parser rejects (arg(a b)., arg()., a second '#' line)
+# or, in tgf, reads as another name ('a b' as the node 'a' with a label)
+@pytest.mark.parametrize("name", ["a b", "", "#", "a(b)", "a,b", "x.", "a\n", "\xe9", " a"])
+@pytest.mark.parametrize("write", [write_apx, write_tgf])
+def test_writers_reject_names_their_parsers_reject(write, name):
+    f = build(["a", name], [("a", name)])
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        write(f)
 
 
 @given(frameworks())
