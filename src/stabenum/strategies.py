@@ -29,9 +29,13 @@ def search_order(f: Framework, order: Sequence[int] | None) -> Sequence[int]:
 def deliver(extensions: Iterable[tuple[int, ...]], sink: Sink | None, limit: int | None) -> int:
     """Pass ``sink`` each of the first ``limit`` (all, for None) of
     ``extensions`` and return how many there were, never drawing one more;
-    ``ValueError`` for a limit below 1, before the first is drawn."""
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be at least 1, got {limit}")
+    ``ValueError`` for a limit that is not an exact int or is below 1,
+    before the first is drawn (``True`` compares equal to 1 but is no count)."""
+    if limit is not None:
+        if type(limit) is not int:
+            raise ValueError(f"limit must be an int, got {limit!r}")
+        if limit < 1:
+            raise ValueError(f"limit must be at least 1, got {limit}")
     count = 0
     for count, ext in enumerate(islice(extensions, limit), 1):
         if sink is not None:

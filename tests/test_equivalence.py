@@ -183,16 +183,21 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit(engine):
     ]
 
 
-@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("limit", [
+    0, -1,
+    # not exact ints: True compares equal to 1, and 1.5 or "2" is no count
+    pytest.param(True, id="bool"), pytest.param(1.5, id="float"), pytest.param("2", id="str"),
+])
 @pytest.mark.parametrize("engine", [set_enum, label_enum])
 def test_limit_below_one_is_rejected(engine, limit):
+    message = "limit must be at least 1" if type(limit) is int else "limit must be an int"
     found: list = []
-    with pytest.raises(ValueError, match="limit must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         engine.enumerate_extensions(h1_framework(), sink=found.append, limit=limit)
     # deliver checks the limit before it starts the search
     stats = SearchStats()
     extensions = engine.extensions(h1_framework(), range(6), stats)
-    with pytest.raises(ValueError, match="limit must be at least 1"):
+    with pytest.raises(ValueError, match=message):
         deliver(extensions, found.append, limit)
     assert inspect.getgeneratorstate(extensions) == inspect.GEN_CREATED
     assert found == []
