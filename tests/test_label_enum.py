@@ -523,7 +523,7 @@ def test_relabelling_plans(f):
     ("ac bc cd ce", "d:out e:out a:must_out b:must_out"),  # attackers below targets
     ("ca cb dc ec", "a:out b:out d:must_out e:must_out"),  # attackers above targets
     ("ac ca cd dc", "a:out d:out"),  # the same arguments attack c and are attacked by it
-    ("ac cb bc ce dc", "b:out e:out a:must_out d:must_out"),  # interleaved: b is out already
+    ("ac cb bc ce dc", "b:out e:out a:must_out d:must_out"),  # interleaved; b is a target too
     ("ca cd", "a:out d:out"),  # no attackers
     ("ac dc", "a:must_out d:must_out"),  # no targets
 ], ids=["attackers_below", "attackers_above", "same", "interleaved", "no_attackers", "no_targets"])
